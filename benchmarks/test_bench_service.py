@@ -80,7 +80,7 @@ def _sustained_throughput():
     """
     n_workers = SUSTAINED_WORKERS if fork_available() else 0
     config = ServiceConfig(
-        port=0, workers=2, cache_size=8, max_batch=16, max_wait_ms=2.0,
+        port=0, workers=2, cache_size=8, max_batch=16,
         queue_limit=1024, worker_processes=n_workers,
     )
     points = [round(0.75 + 0.01 * i, 4) for i in range(SUSTAINED_REQUESTS)]
@@ -129,8 +129,7 @@ def _cluster_arm(n_shards):
         port=0,
         n_shards=n_shards,
         shard=ServiceConfig(
-            port=0, workers=2, cache_size=CLUSTER_SHARD_CACHE,
-            max_wait_ms=0.0,
+            port=0, workers=2, cache_size=CLUSTER_SHARD_CACHE
         ),
     )
     seeds = list(range(CLUSTER_WORKING_SET))
@@ -205,7 +204,7 @@ def _median_duration(responses, source):
 @pytest.mark.benchmark(group="service")
 def test_bench_service(benchmark, save_artifact):
     config = ServiceConfig(
-        port=0, workers=2, cache_size=256, max_batch=16, max_wait_ms=5.0,
+        port=0, workers=2, cache_size=256, max_batch=16,
         queue_limit=512,
     )
     with AvailabilityServer(config) as srv:

@@ -701,7 +701,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         cache_size=args.cache_size,
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         queue_limit=args.queue_limit,
         cache_file=args.cache_file,
         chaos=args.chaos,
@@ -1085,8 +1084,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="LRU solve-cache entries (default 1024)")
     p.add_argument("--max-batch", type=int, default=32,
                    help="largest coalesced batch (default 32)")
-    p.add_argument("--max-wait-ms", type=float, default=5.0,
-                   help="coalescing window in milliseconds (default 5)")
     p.add_argument("--queue-limit", type=int, default=256,
                    help="pending-request bound before 429 shedding "
                         "(default 256)")

@@ -294,7 +294,6 @@ def run_trigger_campaign(
             port=0,
             workers=1,
             max_batch=1,
-            max_wait_ms=0.0,
             queue_limit=queue_limit,
             cache_size=0,
             chaos=True,

@@ -316,7 +316,12 @@ def parallel_map(
                 try:
                     payload = result_queue.get(timeout=0.5)
                 except queue_module.Empty:
-                    if all(not p.is_alive() for p in processes):
+                    # A worker killed mid-item can die holding the result
+                    # queue's shared write lock, and then no other worker
+                    # can exit: fail on the first non-zero exit too.
+                    if all(not p.is_alive() for p in processes) or any(
+                        p.exitcode not in (None, 0) for p in processes
+                    ):
                         try:
                             payload = result_queue.get_nowait()
                         except queue_module.Empty:

@@ -11,8 +11,9 @@ evaluation server instead of an in-process library call:
   over canonically serialized models + parameters;
 * :mod:`~repro.service.cache` — a thread-safe LRU solve cache with
   single-flight compute and JSONL spill/warm-start;
-* :mod:`~repro.service.scheduler` — a request-coalescing micro-batcher
-  that turns concurrent requests into one ``solve_batch`` dispatch;
+* :mod:`~repro.service.scheduler` — a work-conserving micro-batcher
+  that turns queued same-shape requests into one ``solve_batch``
+  dispatch;
 * :mod:`~repro.service.server` — the stdlib ``ThreadingHTTPServer``
   JSON API (``/v1/solve``, ``/v1/sweep``, ``/v1/uncertainty``,
   ``/healthz``, ``/metrics``) with bounded queues that shed load with

@@ -4,7 +4,8 @@ One frozen dataclass carries every knob the server, scheduler and cache
 need, so the CLI, tests and embedding code construct the whole stack
 from a single value.  Defaults are sized for a laptop-class deployment
 of the paper's Config 1/2 shapes; ``docs/service_guide.md`` discusses
-how to size the cache and batch window for heavier traffic.
+how to size the cache and the batch and queue bounds for heavier
+traffic.
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ class ServiceConfig:
         workers: Batch-dispatch worker threads in the micro-batcher.
         cache_size: Maximum entries held by the LRU solve cache.
         max_batch: Largest coalesced batch one dispatch may carry.
-        max_wait_ms: How long a dispatcher waits for co-batchable
-            requests after the first one arrives.  ``0`` disables
-            coalescing (every request solves alone).
         queue_limit: Bound on requests waiting in the scheduler; beyond
             it the server sheds load with 429 + ``Retry-After``.
         heavy_slots: Concurrent ``/v1/sweep`` + ``/v1/uncertainty``
@@ -82,7 +80,6 @@ class ServiceConfig:
     workers: int = 2
     cache_size: int = 1024
     max_batch: int = 32
-    max_wait_ms: float = 5.0
     queue_limit: int = 256
     heavy_slots: int = 4
     cache_file: Optional[str] = None
@@ -106,8 +103,6 @@ class ServiceConfig:
             raise BadRequest(f"negative cache size {self.cache_size}")
         if self.max_batch < 1:
             raise BadRequest(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_wait_ms < 0:
-            raise BadRequest(f"negative max_wait_ms {self.max_wait_ms}")
         if self.queue_limit < 1:
             raise BadRequest(
                 f"queue_limit must be >= 1, got {self.queue_limit}"

@@ -1,12 +1,11 @@
-"""Request-coalescing micro-batcher.
+"""Work-conserving request-coalescing micro-batcher.
 
 The compiled batch engine (:mod:`repro.ctmc.batch`) solves *k* parameter
-points against one model for barely more than the cost of one point —
-that is the whole reason PR 1 exists.  A serving layer should therefore
-never solve concurrent requests one by one: this scheduler collects
-requests that target the same *batch group* (same hierarchy shape, same
-method/abstraction, same parameter-name set) and dispatches them as a
-single ``solve_batch`` call.
+points against one model for barely more than the cost of one point.  A
+serving layer should therefore never solve *queued* requests one by
+one: this scheduler collects requests that target the same *batch group*
+(same hierarchy shape, same method/abstraction, same parameter-name set)
+and dispatches them as a single ``solve_batch`` call.
 
 Mechanics:
 
@@ -16,10 +15,12 @@ Mechanics:
   :class:`~repro.service.errors.Overloaded` instead of queueing — the
   HTTP layer turns that into 429 + ``Retry-After`` (load shedding, not
   unbounded buffering).
-* Each worker thread takes the oldest pending request, then waits up to
-  ``max_wait_ms`` for more requests of the same group (or until
-  ``max_batch`` are in hand) before dispatching the whole set through
-  the group's ``solve_many``.
+* A dispatcher thread that finds work takes the oldest pending request
+  plus every queued request of the same group (up to ``max_batch``) and
+  dispatches the set at once through the group's executor.  It never
+  holds a request back waiting for companions: batches form only from
+  requests that queued while every dispatcher was busy, which is when
+  batching pays, and an isolated request is dispatched alone at once.
 * Results (or the batch's exception) are delivered per-ticket.
 
 Per-sample results from a coalesced batch are bit-identical to solving
@@ -52,12 +53,14 @@ BatchExecutor = Callable[[Sequence[Any]], Sequence[Any]]
 class Ticket:
     """Handle for one submitted request."""
 
-    __slots__ = ("group_key", "values", "trace", "_done", "_result",
-                 "_error", "batch_size")
+    __slots__ = ("group_key", "values", "trace", "submitted", "_done",
+                 "_result", "_error", "batch_size")
 
     def __init__(self, group_key: Hashable, values: Any) -> None:
         self.group_key = group_key
         self.values = values
+        #: ``perf_counter`` at submit; the take observes the queue wait.
+        self.submitted = time.perf_counter()
         #: Trace context of the submitting thread.  Executors are
         #: registered once per group ("first writer wins"), so a trace
         #: baked into the executor closure would leak the first
@@ -67,8 +70,9 @@ class Ticket:
         self._done = threading.Event()
         self._result: Any = None
         self._error: Optional[BaseException] = None
-        #: Size of the dispatched batch this request rode in (set on
-        #: completion; lets the server report coalescing per response).
+        #: Size of the batch handed to the executor with this request
+        #: (set on completion; lets the server report coalescing per
+        #: response).  ``0`` for a request that never reached it.
         self.batch_size = 0
 
     def _resolve(self, result: Any, batch_size: int) -> None:
@@ -91,16 +95,13 @@ class Ticket:
 
 
 class MicroBatcher:
-    """Coalesces same-group requests into batched dispatches.
+    """Coalesces queued same-group requests into batched dispatches.
+
+    Executors are registered lazily via :meth:`submit`'s ``executor``
+    argument (first writer wins per group key).
 
     Args:
-        executors: Maps a group key to its batch executor.  Unknown
-            groups may also be registered lazily via :meth:`submit`'s
-            ``executor`` argument (first writer wins).
         max_batch: Largest batch one dispatch may carry.
-        max_wait_ms: Coalescing window after the first request of a
-            batch arrives.  ``0`` dispatches immediately (whatever is
-            already queued for the group still coalesces).
         queue_limit: Pending-request bound; exceeding it sheds load.
         workers: Dispatcher threads.  More workers overlap dispatches of
             *different* groups; one worker is enough for a single shape.
@@ -110,21 +111,17 @@ class MicroBatcher:
     def __init__(
         self,
         max_batch: int = 32,
-        max_wait_ms: float = 5.0,
         queue_limit: int = 256,
         workers: int = 1,
         retry_after_seconds: float = 1.0,
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_wait_ms < 0:
-            raise ValueError(f"negative max_wait_ms {max_wait_ms}")
         if queue_limit < 1:
             raise ValueError(f"queue_limit must be >= 1, got {queue_limit}")
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
         self.max_batch = int(max_batch)
-        self.max_wait_s = float(max_wait_ms) / 1000.0
         self.queue_limit = int(queue_limit)
         self.retry_after_seconds = float(retry_after_seconds)
         self._executors: Dict[Hashable, BatchExecutor] = {}
@@ -218,8 +215,11 @@ class MicroBatcher:
         thread.start()
         return thread
 
-    def _take_group_locked(self, group_key: Hashable, batch: List[Ticket]) -> None:
-        """Move queued tickets of ``group_key`` into ``batch`` (to cap)."""
+    def _take_locked(self) -> List[Ticket]:
+        """Move the oldest ticket and its queued group-mates (to the
+        cap) out of the queue."""
+        group_key = self._queue[0].group_key
+        batch: List[Ticket] = []
         remaining: List[Ticket] = []
         for ticket in self._queue:
             if (
@@ -230,6 +230,7 @@ class MicroBatcher:
             else:
                 remaining.append(ticket)
         self._queue[:] = remaining
+        return batch
 
     def _run(self) -> None:
         while True:
@@ -238,11 +239,7 @@ class MicroBatcher:
                     self._wakeup.wait()
                 if self._stopped and not self._queue:
                     return
-                first = self._queue.pop(0)
-                batch = [first]
-                self._take_group_locked(first.group_key, batch)
-                # The take is a queue transition: wait_for_queue callers
-                # must see it now, not when the coalescing window closes.
+                batch = self._take_locked()
                 obs.gauge("service_queue_depth").set(len(self._queue))
                 self._wakeup.notify_all()
                 if chaos.enabled() and not self._stopped:
@@ -250,25 +247,13 @@ class MicroBatcher:
                     if injection is not None:
                         self._die_locked(batch)
                         return  # this thread is the casualty
-                deadline = time.monotonic() + self.max_wait_s
-                while (
-                    len(batch) < self.max_batch
-                    and not self._stopped
-                ):
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._wakeup.wait(remaining)
-                    before = len(self._queue)
-                    self._take_group_locked(first.group_key, batch)
-                    if len(self._queue) != before:
-                        obs.gauge("service_queue_depth").set(
-                            len(self._queue)
-                        )
-                        self._wakeup.notify_all()
-                executor = self._executors[first.group_key]
-                obs.gauge("service_queue_depth").set(len(self._queue))
-                self._wakeup.notify_all()
+                # Past the death check, so a re-queued ticket is observed
+                # once, at the take that dispatches it.
+                taken = time.perf_counter()
+                waits = obs.histogram("service_queue_wait_seconds")
+                for ticket in batch:
+                    waits.observe(taken - ticket.submitted)
+                executor = self._executors[batch[0].group_key]
             self._dispatch(executor, batch)
 
     def _die_locked(self, batch: List[Ticket]) -> None:
@@ -288,19 +273,13 @@ class MicroBatcher:
         self._wakeup.notify_all()
 
     def _dispatch(self, executor: BatchExecutor, batch: List[Ticket]) -> None:
-        size = len(batch)
-        obs.counter("service_batches_total").inc()
-        if size > 1:
-            obs.counter("service_coalesced_batches_total").inc()
-            obs.counter("service_coalesced_requests_total").inc(size)
-        obs.histogram("service_batch_size").observe(size)
         if chaos.enabled():
             stall = chaos.fire(chaos.POINT_SCHEDULER_STALL)
             if stall is not None:
                 obs.event(
                     "chaos.scheduler_stall",
                     delay_seconds=stall.delay_seconds,
-                    batch_size=size,
+                    batch_size=len(batch),
                 )
                 time.sleep(stall.delay_seconds)
             # Graceful degradation under a poisoned request: the
@@ -314,11 +293,18 @@ class MicroBatcher:
                 else:
                     obs.counter("service_faults_injected_total").inc()
                     ticket._reject(
-                        InjectedFault(chaos.POINT_SOLVER_EXCEPTION), size
+                        InjectedFault(chaos.POINT_SOLVER_EXCEPTION), 0
                     )
             if not healthy:
                 return
             batch = healthy
+        # Counted after poisoning: the size is what the executor gets.
+        size = len(batch)
+        obs.counter("service_batches_total").inc()
+        if size > 1:
+            obs.counter("service_coalesced_batches_total").inc()
+            obs.counter("service_coalesced_requests_total").inc(size)
+        obs.histogram("service_batch_size").observe(size)
         # A coalesced batch serves several traces but one dispatch; the
         # lead ticket's context parents the dispatch span (batch_size
         # records the coalescing for the other riders).

@@ -265,7 +265,6 @@ class AvailabilityService:
                 )
         self.batcher = MicroBatcher(
             max_batch=self.config.max_batch,
-            max_wait_ms=self.config.max_wait_ms,
             queue_limit=self.config.queue_limit,
             workers=self.config.workers,
             retry_after_seconds=self.config.retry_after_seconds,
@@ -302,6 +301,7 @@ class AvailabilityService:
         obs.gauge("service_queue_depth")
         obs.gauge("service_cache_size")
         obs.histogram("service_batch_size")
+        obs.histogram("service_queue_wait_seconds")
 
     # Request plumbing ----------------------------------------------------
 
@@ -702,7 +702,6 @@ class AvailabilityService:
             "cache_hit_rate": (hits / lookups) if lookups else 0.0,
             "workers": self.config.workers,
             "max_batch": self.config.max_batch,
-            "max_wait_ms": self.config.max_wait_ms,
             "worker_processes": self.config.worker_processes,
             "solver_workers_alive": (
                 self.pool.alive_count() if self.pool is not None else 0

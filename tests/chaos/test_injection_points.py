@@ -85,7 +85,7 @@ class TestSchedulerFaults:
     def test_stall_delays_but_still_solves(self):
         with chaos.inject() as injector:
             injector.arm(POINT_SCHEDULER_STALL, delay_seconds=0.01)
-            batcher = MicroBatcher(max_wait_ms=0.0)
+            batcher = MicroBatcher()
             try:
                 ticket = batcher.submit(
                     "g", 21, executor=lambda batch: [v * 2 for v in batch]
@@ -106,7 +106,7 @@ class TestSchedulerFaults:
             return [v * 2 for v in batch]
 
         with chaos.inject() as injector:
-            batcher = MicroBatcher(max_batch=8, max_wait_ms=50.0, workers=1)
+            batcher = MicroBatcher(max_batch=8, workers=1)
             try:
                 # Stall the single worker on a decoy batch so three
                 # same-group requests pile up into one dispatch. Wait
@@ -134,6 +134,13 @@ class TestSchedulerFaults:
                 assert len(faults) == 1  # exactly one request poisoned
                 assert faults[0].point == POINT_SOLVER_EXCEPTION
                 assert sorted(values) in ([2, 4], [2, 6], [4, 6])
+                # Survivors report the batch the executor received, not
+                # the one that included the poisoned request.
+                survivors = [
+                    t for t, o in zip(tickets, outcomes)
+                    if not isinstance(o, InjectedFault)
+                ]
+                assert [t.batch_size for t in survivors] == [2, 2]
             finally:
                 release.set()
                 batcher.shutdown()
@@ -141,7 +148,7 @@ class TestSchedulerFaults:
     def test_worker_death_requeues_batch_and_respawns(self):
         with chaos.inject() as injector:
             with obs.observe(Recorder()) as recorder:
-                batcher = MicroBatcher(max_wait_ms=0.0, workers=1)
+                batcher = MicroBatcher(workers=1)
                 try:
                     injector.arm(POINT_WORKER_DEATH)
                     ticket = batcher.submit(
@@ -157,10 +164,12 @@ class TestSchedulerFaults:
         snapshot = recorder.metrics.snapshot()
         assert snapshot["service_worker_deaths_total"]["value"] == 1.0
         assert snapshot["service_worker_respawns_total"]["value"] == 1.0
+        # The re-queued ticket's wait is observed once, at the final take.
+        assert snapshot["service_queue_wait_seconds"]["count"] == 1
 
     def test_consecutive_worker_deaths_all_recover(self):
         with chaos.inject() as injector:
-            batcher = MicroBatcher(max_wait_ms=0.0, workers=2)
+            batcher = MicroBatcher(workers=2)
             try:
                 injector.arm(POINT_WORKER_DEATH, count=3)
                 tickets = [
@@ -183,7 +192,7 @@ class TestChaosOffFastPath:
         cache = SolveCache(max_entries=4, validator=_schema_validator)
         cache.put("fp", {"schema": 1, "value": 9})
         assert cache.get("fp") == {"schema": 1, "value": 9}
-        batcher = MicroBatcher(max_wait_ms=0.0)
+        batcher = MicroBatcher()
         try:
             ticket = batcher.submit(
                 "g", 3, executor=lambda batch: [v + 1 for v in batch]

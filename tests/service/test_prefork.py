@@ -28,7 +28,7 @@ def _strip_serving(payload):
 
 @pytest.fixture()
 def inprocess_service():
-    service = AvailabilityService(ServiceConfig(port=0, max_wait_ms=0.0))
+    service = AvailabilityService(ServiceConfig(port=0))
     yield service
     service.close()
 
@@ -36,7 +36,7 @@ def inprocess_service():
 @pytest.fixture()
 def prefork_service():
     service = AvailabilityService(
-        ServiceConfig(port=0, max_wait_ms=0.0, worker_processes=2)
+        ServiceConfig(port=0, worker_processes=2)
     )
     yield service
     service.close()

@@ -5,11 +5,14 @@ they block on :meth:`MicroBatcher.wait_for_queue` (every queue
 transition notifies the underlying condition) or on explicit events.
 """
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro import obs
+from repro.obs.recorder import Recorder
 from repro.service.errors import Overloaded, SchedulerStopped
 from repro.service.scheduler import MicroBatcher
 
@@ -23,7 +26,7 @@ def _echo_executor(log):
 
 class TestDispatch:
     def test_single_request_round_trip(self):
-        batcher = MicroBatcher(max_wait_ms=0.0)
+        batcher = MicroBatcher()
         try:
             log = []
             ticket = batcher.submit("g", 21, executor=_echo_executor(log))
@@ -45,7 +48,7 @@ class TestDispatch:
                 release.wait(5)  # first dispatch blocks the worker...
             return list(batch)
 
-        batcher = MicroBatcher(max_batch=8, max_wait_ms=50.0, workers=1)
+        batcher = MicroBatcher(max_batch=8, workers=1)
         try:
             first = batcher.submit("g", 0, executor=execute)
             assert entered.wait(5)  # worker is now inside the executor
@@ -61,8 +64,26 @@ class TestDispatch:
                 for i, ticket in enumerate(tickets, start=1):
                     assert ticket.result(timeout=5) == i
             assert first.result(timeout=5) == 0
-            coalesced = [batch for batch in log if len(batch) > 1]
-            assert coalesced, f"no coalesced batch in {log}"
+            # Submission order inside the pile-up is a race between the
+            # six submitting threads; batch membership is not.
+            assert [sorted(batch) for batch in log] == [
+                [0], [1, 2, 3, 4, 5, 6],
+            ]
+        finally:
+            batcher.shutdown()
+
+    def test_idle_batcher_dispatches_alone(self):
+        """An idle dispatcher holds nothing open: a request that arrives
+        after the take rides its own batch."""
+        log = []
+        batcher = MicroBatcher(max_batch=8, workers=1)
+        try:
+            r1 = batcher.submit("g", 1, executor=_echo_executor(log))
+            assert batcher.wait_for_queue(lambda depth: depth == 0)
+            r2 = batcher.submit("g", 2)
+            assert r1.result(timeout=5) == 2
+            assert r2.result(timeout=5) == 4
+            assert log == [[1], [2]]
         finally:
             batcher.shutdown()
 
@@ -76,7 +97,7 @@ class TestDispatch:
                 release.wait(5)
             return list(batch)
 
-        batcher = MicroBatcher(max_batch=3, max_wait_ms=20.0, workers=1)
+        batcher = MicroBatcher(max_batch=3, workers=1)
         try:
             tickets = [batcher.submit("g", 0, executor=execute)]
             assert batcher.wait_for_queue(lambda depth: depth == 0)
@@ -93,7 +114,7 @@ class TestDispatch:
 
     def test_different_groups_never_mix(self):
         log = []
-        batcher = MicroBatcher(max_batch=8, max_wait_ms=10.0)
+        batcher = MicroBatcher(max_batch=8)
         try:
             tickets = [
                 batcher.submit(f"g{i % 2}", i, executor=_echo_executor(log))
@@ -107,6 +128,48 @@ class TestDispatch:
         finally:
             batcher.shutdown()
 
+    def test_stress_every_request_rides_exactly_one_batch(self):
+        """More dispatchers and submitters than cores, with a short
+        switch interval: each request rides one batch of its own group
+        and its queue wait is observed once."""
+        n_requests = 400
+        dispatched = []
+
+        def execute(batch):
+            dispatched.append(list(batch))
+            return list(batch)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with obs.observe(Recorder()) as recorder:
+                batcher = MicroBatcher(
+                    max_batch=4, queue_limit=n_requests, workers=4
+                )
+                try:
+                    with ThreadPoolExecutor(8) as pool:
+                        tickets = list(pool.map(
+                            lambda i: batcher.submit(
+                                f"g{i % 3}", i, executor=execute
+                            ),
+                            range(n_requests),
+                        ))
+                    assert [t.result(timeout=10) for t in tickets] == list(
+                        range(n_requests)
+                    )
+                finally:
+                    batcher.shutdown()
+        finally:
+            sys.setswitchinterval(interval)
+        riders = sorted(value for batch in dispatched for value in batch)
+        assert riders == list(range(n_requests))
+        assert all(
+            len(batch) <= 4 and len({value % 3 for value in batch}) == 1
+            for batch in dispatched
+        )
+        waits = recorder.metrics.snapshot()["service_queue_wait_seconds"]
+        assert waits["count"] == n_requests
+
 
 class TestBounds:
     def test_queue_limit_sheds_with_retry_after(self):
@@ -117,7 +180,7 @@ class TestBounds:
             return list(batch)
 
         batcher = MicroBatcher(
-            max_batch=1, max_wait_ms=0.0, queue_limit=2, workers=1,
+            max_batch=1, queue_limit=2, workers=1,
             retry_after_seconds=3.0,
         )
         try:
@@ -156,7 +219,6 @@ class TestBounds:
         "kwargs",
         [
             {"max_batch": 0},
-            {"max_wait_ms": -1.0},
             {"queue_limit": 0},
             {"workers": 0},
         ],
@@ -171,7 +233,7 @@ class TestErrors:
         def execute(batch):
             raise RuntimeError("batch solver exploded")
 
-        batcher = MicroBatcher(max_wait_ms=0.0)
+        batcher = MicroBatcher()
         try:
             tickets = [
                 batcher.submit("g", i, executor=execute) for i in range(3)
@@ -186,7 +248,7 @@ class TestErrors:
         def execute(batch):
             return [1]  # always one result, whatever the batch size
 
-        batcher = MicroBatcher(max_wait_ms=0.0, max_batch=4)
+        batcher = MicroBatcher(max_batch=4)
         try:
             ticket = batcher.submit("g", 1, executor=execute)
             assert ticket.result(timeout=5) == 1  # size-1 batch is fine
@@ -217,7 +279,7 @@ class TestErrors:
             stall.wait(5)
             return list(batch)
 
-        batcher = MicroBatcher(max_wait_ms=0.0)
+        batcher = MicroBatcher()
         try:
             ticket = batcher.submit("g", 1, executor=execute)
             with pytest.raises(TimeoutError):
@@ -243,7 +305,7 @@ class TestDispatchTracing:
             seen.append(tracecontext.current())
             return list(batch)
 
-        batcher = MicroBatcher(max_wait_ms=0.0, workers=1)
+        batcher = MicroBatcher(workers=1)
         try:
             first = tracecontext.TraceContext("aa" * 16, "bb" * 8)
             second = tracecontext.TraceContext("cc" * 16, "dd" * 8)

@@ -26,7 +26,7 @@ from repro.service import (
 
 @pytest.fixture(scope="module")
 def server():
-    with AvailabilityServer(ServiceConfig(port=0, max_wait_ms=2.0)) as srv:
+    with AvailabilityServer(ServiceConfig(port=0)) as srv:
         yield srv
 
 
@@ -132,6 +132,7 @@ class TestOperationalEndpoints:
         assert "# TYPE service_requests_total counter" in text
         assert "service_cache_hits_total" in text
         assert "service_batch_size" in text
+        assert "# TYPE service_queue_wait_seconds histogram" in text
 
     def test_unknown_endpoint_404(self, client):
         with pytest.raises(ServiceClientError) as excinfo:
@@ -198,7 +199,7 @@ class TestShedding:
     def test_queue_bound_sheds_429_with_retry_after(self):
         """Past the queue bound, requests shed instead of queueing."""
         config = ServiceConfig(
-            port=0, workers=1, max_batch=1, max_wait_ms=200.0,
+            port=0, workers=1, max_batch=1,
             queue_limit=1, cache_size=0, retry_after_seconds=2.0,
         )
         with AvailabilityServer(config) as srv:
@@ -222,9 +223,7 @@ class TestShedding:
             assert all(o.status == 429 for o in shed)
 
     def test_heavy_slots_shed(self):
-        config = ServiceConfig(
-            port=0, heavy_slots=1, cache_size=0, max_wait_ms=0.0,
-        )
+        config = ServiceConfig(port=0, heavy_slots=1, cache_size=0)
         with AvailabilityServer(config) as srv:
             client = ServiceClient(srv.url, timeout=60.0)
 
@@ -292,7 +291,7 @@ class TestServiceCore:
 class TestWarmStartIntegration:
     def test_server_warm_starts_from_spill_file(self, tmp_path):
         spill = str(tmp_path / "solves.jsonl")
-        config = ServiceConfig(port=0, cache_file=spill, max_wait_ms=0.0)
+        config = ServiceConfig(port=0, cache_file=spill)
         with AvailabilityServer(config) as srv:
             first = ServiceClient(srv.url, timeout=60.0).solve()
             assert first["serving"]["cache"] == "miss"

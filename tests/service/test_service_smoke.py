@@ -37,7 +37,7 @@ def _metric_value(text, name):
 @pytest.mark.slow
 def test_concurrent_solve_smoke(tmp_path):
     config = ServiceConfig(
-        port=0, workers=2, cache_size=64, max_batch=16, max_wait_ms=5.0,
+        port=0, workers=2, cache_size=64, max_batch=16,
         queue_limit=512,
     )
     with AvailabilityServer(config) as srv:

@@ -44,8 +44,14 @@ def gate():
     return _GatedExecutor()
 
 
-def _drain(batcher, gate):
-    gate.release.set()
+@pytest.fixture
+def head():
+    return _GatedExecutor()
+
+
+def _drain(batcher, *gates):
+    for gate in gates:
+        gate.release.set()
     batcher.shutdown()
 
 
@@ -53,7 +59,7 @@ class TestQueueBoundary:
     def test_admits_exactly_queue_limit_then_sheds(self, gate):
         limit = 3
         batcher = MicroBatcher(
-            max_batch=1, max_wait_ms=0.0, queue_limit=limit, workers=1
+            max_batch=1, queue_limit=limit, workers=1
         )
         try:
             # Occupy the single worker: its ticket leaves the queue
@@ -81,7 +87,7 @@ class TestQueueBoundary:
 
     def test_slot_freed_by_dispatch_readmits(self, gate):
         batcher = MicroBatcher(
-            max_batch=1, max_wait_ms=0.0, queue_limit=1, workers=1
+            max_batch=1, queue_limit=1, workers=1
         )
         try:
             head = batcher.submit("g", 0, executor=gate)
@@ -104,20 +110,22 @@ class TestQueueBoundary:
 
 
 class TestCoalescingVsShedding:
-    def test_burst_admitted_into_batch_then_next_shed(self, gate):
-        # max_batch 2 closes the coalescing window deterministically
-        # (no reliance on max_wait elapsing): r1 and r2 join one batch
-        # and leave the queue; r3/r4 then fill the 2-slot queue behind
-        # the blocked dispatch, and r5 is shed even though the batch
-        # holding r1/r2 has not solved yet — admitted-then-shed.
-        batcher = MicroBatcher(
-            max_batch=2, max_wait_ms=5000.0, queue_limit=2, workers=1
-        )
+    # A batch forms only from requests that queue while the dispatcher
+    # is busy, so each test builds its batch behind a gated head
+    # dispatch of another group: r1 and r2 queue behind the head and
+    # the worker takes them together once the head is released.
+
+    def test_burst_admitted_into_batch_then_next_shed(self, head, gate):
+        # r1/r2 leave the queue as one batch; r3/r4 then fill the 2-slot
+        # queue behind the blocked dispatch, and r5 is shed even though
+        # the batch holding r1/r2 has not solved yet — admitted-then-shed.
+        batcher = MicroBatcher(max_batch=2, queue_limit=2, workers=1)
         try:
-            # r2 closes the window by filling the batch — the dispatch
-            # starts deterministically, never by max_wait elapsing.
+            lead = batcher.submit("h", 0, executor=head)
+            assert head.entered.wait(timeout=5.0)
             r1 = batcher.submit("g", 1, executor=gate)
             r2 = batcher.submit("g", 2)
+            head.release.set()
             assert gate.entered.wait(timeout=5.0)
             assert batcher.wait_for_queue(lambda depth: depth == 0)
 
@@ -127,6 +135,7 @@ class TestCoalescingVsShedding:
                 batcher.submit("g", 5)
 
             gate.release.set()
+            assert lead.result(timeout=5.0) == 0
             assert r1.result(timeout=5.0) == 2
             assert r2.result(timeout=5.0) == 4
             assert r1.batch_size == 2 and r2.batch_size == 2
@@ -134,46 +143,43 @@ class TestCoalescingVsShedding:
             assert r4.result(timeout=5.0) == 8
             assert gate.batches[0] == [1, 2]
         finally:
-            _drain(batcher, gate)
+            _drain(batcher, head, gate)
 
-    def test_shed_caller_succeeds_after_batch_drains(self, gate):
-        batcher = MicroBatcher(
-            max_batch=2, max_wait_ms=5000.0, queue_limit=1, workers=1
-        )
+    def test_shed_caller_succeeds_after_batch_drains(self, head, gate):
+        batcher = MicroBatcher(max_batch=2, queue_limit=2, workers=1)
         try:
+            batcher.submit("h", 0, executor=head)
+            assert head.entered.wait(timeout=5.0)
             r1 = batcher.submit("g", 1, executor=gate)
-            # With a 1-deep queue, r2 is only safe once the worker has
-            # taken r1 into its open batch — the take notifies
-            # wait_for_queue, so this never busy-waits.
-            assert batcher.wait_for_queue(lambda depth: depth == 0)
             r2 = batcher.submit("g", 2)
+            with pytest.raises(Overloaded):
+                batcher.submit("g", 3)
+
+            # The take moves r1/r2 into one dispatch and drains the
+            # queue: the shed caller's retry now lands, and queues with
+            # r4 behind the blocked batch — the shed was transient, not
+            # a permanent rejection.
+            head.release.set()
             assert gate.entered.wait(timeout=5.0)
             assert batcher.wait_for_queue(lambda depth: depth == 0)
-            r3 = batcher.submit("g", 3)
-            with pytest.raises(Overloaded):
-                batcher.submit("g", 4)
+            retried = batcher.submit("g", 3)
+            r4 = batcher.submit("g", 4)
 
             gate.release.set()
             assert r1.result(timeout=5.0) == 2
             assert r2.result(timeout=5.0) == 4
-            # The worker takes r3 into an open batch (queue drains);
-            # the retried request joins that batch, filling it — the
-            # shed was transient, not a permanent rejection.
-            assert batcher.wait_for_queue(lambda depth: depth == 0)
-            retried = batcher.submit("g", 4)
-            assert r3.result(timeout=5.0) == 6
-            assert retried.result(timeout=5.0) == 8
+            assert retried.result(timeout=5.0) == 6
+            assert r4.result(timeout=5.0) == 8
             assert retried.batch_size == 2
             assert gate.batches == [[1, 2], [3, 4]]
         finally:
-            _drain(batcher, gate)
+            _drain(batcher, head, gate)
 
 
 class TestRetryAfterPropagation:
     def test_shed_carries_configured_retry_after(self, gate):
         batcher = MicroBatcher(
             max_batch=1,
-            max_wait_ms=0.0,
             queue_limit=1,
             workers=1,
             retry_after_seconds=0.25,

@@ -31,13 +31,12 @@ class TestParsing:
             [
                 "serve", "--host", "0.0.0.0", "--port", "9090",
                 "--workers", "4", "--cache-size", "64", "--max-batch", "8",
-                "--max-wait-ms", "2.5", "--queue-limit", "16",
-                "--cache-file", "solves.jsonl",
+                "--queue-limit", "16", "--cache-file", "solves.jsonl",
             ]
         )
         assert args.host == "0.0.0.0" and args.port == 9090
         assert args.workers == 4 and args.cache_size == 64
-        assert args.max_batch == 8 and args.max_wait_ms == 2.5
+        assert args.max_batch == 8
         assert args.queue_limit == 16 and args.cache_file == "solves.jsonl"
 
 
