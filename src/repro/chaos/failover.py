@@ -218,7 +218,7 @@ def run_failover_drill(
         )
     from repro.obs import monitor
     from repro.obs.recorder import Recorder
-    from repro.obs.sinks import InMemorySink, JsonlSink
+    from repro.obs.sinks import InMemorySink, process_trace_sink
     from repro.service.client import RetryPolicy, ServiceClient
     from repro.service.cluster import ClusterConfig, ClusterServer
     from repro.service.config import ServiceConfig
@@ -256,21 +256,10 @@ def run_failover_drill(
     previous_recorder = None
     previous_label: Optional[str] = None
     if measuring:
-        import os as _os
-
         event_sink = InMemorySink()
         sinks: List[Any] = [event_sink]
         if trace_dir is not None:
-            directory = pathlib.Path(trace_dir)
-            directory.mkdir(parents=True, exist_ok=True)
-            sinks.append(
-                JsonlSink(
-                    directory / f"router.{_os.getpid()}.jsonl",
-                    header_fields={
-                        "process": "router", "pid": _os.getpid()
-                    },
-                )
-            )
+            sinks.append(process_trace_sink(trace_dir, "router"))
             previous_label = obs.set_process_label("router")
         if obs.enabled():
             for sink in sinks:

@@ -34,7 +34,7 @@ measured overhead, and ``repro-avail --trace/--metrics`` plus
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Iterator, Union
+from typing import Any, Callable, Iterator, Optional, Tuple, Union
 
 from repro.obs.collect import (
     build_cluster_trace,
@@ -67,6 +67,7 @@ from repro.obs.sinks import (
     InMemorySink,
     JsonlSink,
     load_trace,
+    process_trace_sink,
     relabel_prometheus,
     render_prometheus,
     write_metrics,
@@ -109,6 +110,7 @@ __all__ = [
     "gauge",
     "get_recorder",
     "histogram",
+    "install_process_recorder",
     "load_trace",
     "load_trace_dir",
     "merge_cluster_traces",
@@ -116,6 +118,7 @@ __all__ = [
     "observe",
     "parse_traceparent",
     "process_label",
+    "process_trace_sink",
     "relabel_prometheus",
     "render_cluster_report",
     "render_cluster_trace",
@@ -192,3 +195,30 @@ def observe(recorder: Union[Recorder, None] = None) -> Iterator[Recorder]:
     finally:
         set_recorder(previous)
         active.flush()
+
+
+def install_process_recorder(
+    trace_dir: Optional[str], label: str
+) -> Tuple[RecorderLike, Optional[Callable[[], None]]]:
+    """The live recorder a long-running server process exports.
+
+    Reuses the installed recorder when one is live; otherwise installs a
+    fresh one, so ``/metrics`` always has a registry, writing this
+    process's span file under ``trace_dir`` when one is given
+    (:func:`process_trace_sink`).  Returns ``(recorder, restore)``;
+    ``restore`` puts the previous recorder back and closes the new one,
+    and is ``None`` when nothing was installed.
+    """
+    if enabled():
+        return _current, None
+    sinks = (
+        () if trace_dir is None else (process_trace_sink(trace_dir, label),)
+    )
+    own = Recorder(sinks=sinks, keep_records=False)
+    previous = set_recorder(own)
+
+    def restore() -> None:
+        set_recorder(previous)
+        own.close()
+
+    return own, restore

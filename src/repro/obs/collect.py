@@ -3,7 +3,8 @@
 Every process in a traced cluster — router, each shard, each pre-forked
 solver worker — writes its spans to its own file under one trace
 directory (``router.<pid>.jsonl``, ``shard-0.<pid>.jsonl``,
-``shard-0.worker1.<pid>.jsonl``, ...).  This module reads them all
+``shard-0.worker1.<pid>.jsonl``, ... — opened by
+:func:`repro.obs.sinks.process_trace_sink`).  This module reads them all
 back, groups span records by ``trace_id``, and rebuilds each request's
 tree from the cross-process ``span_ref``/``parent_ref`` links (the
 in-process integer span ids are meaningless across files — two shards

@@ -15,6 +15,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import pathlib
 from typing import Any, Dict, List, Optional, Union
 
@@ -85,6 +86,25 @@ class JsonlSink:
     def close(self) -> None:
         if self._owns_stream:
             self._stream.close()
+
+
+def process_trace_sink(
+    trace_dir: Union[str, pathlib.Path], label: str
+) -> JsonlSink:
+    """This process's span file in a cluster-wide trace directory.
+
+    Every traced process (router, shard, pre-forked worker) writes
+    ``<label>.<pid>.jsonl`` whose header names the process and pid; the
+    pid keeps a respawned process from overwriting its predecessor's
+    spans.  :func:`repro.obs.collect.load_trace_dir` merges them back.
+    """
+    directory = pathlib.Path(trace_dir)
+    directory.mkdir(parents=True, exist_ok=True)
+    pid = os.getpid()
+    return JsonlSink(
+        directory / f"{label}.{pid}.jsonl",
+        header_fields={"process": label, "pid": pid},
+    )
 
 
 class InMemorySink:

@@ -14,12 +14,13 @@ evaluation server instead of an in-process library call:
 * :mod:`~repro.service.scheduler` — a work-conserving micro-batcher
   that turns queued same-shape requests into one ``solve_batch``
   dispatch;
-* :mod:`~repro.service.server` — the stdlib ``ThreadingHTTPServer``
-  JSON API (``/v1/solve``, ``/v1/sweep``, ``/v1/uncertainty``,
-  ``/healthz``, ``/metrics``) with bounded queues that shed load with
-  429 + ``Retry-After`` rather than queueing unboundedly (metastable
-  overload is a failure mode in its own right — Alvaro et al.,
-  arXiv:2510.03551);
+* :mod:`~repro.service.server` — the JSON API (``/v1/solve``,
+  ``/v1/sweep``, ``/v1/uncertainty``, ``/healthz``, ``/metrics``) with
+  bounded queues that shed load with 429 + ``Retry-After`` rather than
+  queueing unboundedly (metastable overload is a failure mode in its
+  own right — Alvaro et al., arXiv:2510.03551);
+* :mod:`~repro.service.http` — the stdlib ``ThreadingHTTPServer`` front
+  end that a shard server and the cluster router both run on;
 * :mod:`~repro.service.client` — a stdlib ``urllib`` client.
 
 Start one with ``repro-avail serve`` or embed it::

@@ -152,11 +152,11 @@ class HttpConnectionPool:
     """Keep-alive connection pool for one ``http://host:port`` origin.
 
     A bounded LIFO stack of idle :class:`http.client.HTTPConnection`
-    objects.  :meth:`acquire` pops an idle connection (or dials a new
-    one — counted in :attr:`opened`), the caller runs exactly one
-    request/response exchange on it, then either :meth:`release`\\ s it
-    for reuse or :meth:`discard`\\ s it after any transport error, since
-    a connection that failed mid-exchange has undefined framing state.
+    objects.  :meth:`exchange` pops an idle connection (or dials a new
+    one — counted in :attr:`opened`), runs exactly one request/response
+    exchange on it, then either releases it for reuse or discards it
+    after any transport error, since a connection that failed
+    mid-exchange has undefined framing state.
 
     LIFO keeps the hottest socket busiest, so a sequential caller uses
     exactly one connection and a burst of *k* concurrent callers
@@ -183,6 +183,40 @@ class HttpConnectionPool:
         return _NoDelayHTTPConnection(
             self.host, self.port, timeout=self.timeout
         )
+
+    def exchange(
+        self,
+        method: str,
+        path: str,
+        body: Optional[bytes] = None,
+        headers: Optional[Mapping[str, str]] = None,
+    ) -> Tuple[int, http.client.HTTPMessage, bytes]:
+        """One request/response on a pooled connection.
+
+        Returns ``(status, headers, body)``.  Raises the stdlib
+        :class:`TimeoutError` when the socket times out and
+        :class:`ConnectionError` on any other transport failure (e.g.
+        the server closed the socket mid-response: the ``response.drop``
+        chaos point, a killed shard), chaining the original exception as
+        ``__cause__``; either way the connection is discarded, never
+        returned to the pool.
+        """
+        conn = self.acquire()
+        try:
+            conn.request(method, path, body=body, headers=dict(headers or {}))
+            reply = conn.getresponse()
+            payload = reply.read()
+        except (socket.timeout, TimeoutError) as exc:
+            self.discard(conn)
+            raise TimeoutError(str(exc)) from exc
+        except (ConnectionError, http.client.HTTPException, OSError) as exc:
+            self.discard(conn)
+            raise ConnectionError(str(exc)) from exc
+        if reply.will_close:
+            self.discard(conn)
+        else:
+            self.release(conn)
+        return reply.status, reply.headers, payload
 
     def release(self, conn: http.client.HTTPConnection) -> None:
         with self._lock:
@@ -347,35 +381,22 @@ class ServiceClient:
                 headers[tracecontext.TRACEPARENT_HEADER] = (
                     tracecontext.format_traceparent(context)
                 )
-        conn = self._pool.acquire()
         try:
-            conn.request(method, path, body=body, headers=headers)
-            reply = conn.getresponse()
-            payload = reply.read()
-        except (socket.timeout, TimeoutError) as exc:
-            self._pool.discard(conn)
+            status, reply_headers, payload = self._pool.exchange(
+                method, path, body, headers
+            )
+        except TimeoutError as exc:
             raise ServiceTimeout(
                 f"request to {url} timed out after {self.timeout}s",
-                cause=exc,
-            ) from exc
-        except (
-            ConnectionError, http.client.HTTPException, OSError
-        ) as exc:
-            # E.g. the server closed the socket mid-response (the
-            # ``response.drop`` chaos point, a killed shard) ->
-            # RemoteDisconnected / reset.  The connection's framing
-            # state is undefined, so it never goes back to the pool.
-            self._pool.discard(conn)
+                cause=exc.__cause__,
+            ) from exc.__cause__
+        except ConnectionError as exc:
             raise ServiceConnectionError(
-                f"connection to {url} failed: {exc}", cause=exc
-            ) from exc
-        if reply.will_close:
-            self._pool.discard(conn)
-        else:
-            self._pool.release(conn)
-        content_type = reply.headers.get("Content-Type", "")
-        if reply.status >= 400:
-            raise self._error_from(reply.status, reply.headers, payload)
+                f"connection to {url} failed: {exc}", cause=exc.__cause__
+            ) from exc.__cause__
+        content_type = reply_headers.get("Content-Type", "")
+        if status >= 400:
+            raise self._error_from(status, reply_headers, payload)
         if content_type.startswith("application/json"):
             return json.loads(payload.decode("utf-8"))
         return payload.decode("utf-8")

@@ -51,15 +51,12 @@ failover (the contract :mod:`repro.chaos.failover` drills).
 from __future__ import annotations
 
 import dataclasses
-import http.client
 import json
 import os
 import signal
-import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro import chaos, obs
@@ -70,12 +67,14 @@ from repro.chaos.injector import (
     ChaosInjector,
 )
 from repro.obs import tracecontext
-from repro.obs.recorder import NULL_RECORDER, Recorder
-from repro.obs.sinks import JsonlSink, relabel_prometheus, render_prometheus
+from repro.obs.recorder import NULL_RECORDER
+from repro.obs.sinks import relabel_prometheus, render_prometheus
 from repro.service.client import HttpConnectionPool, idempotency_key
 from repro.service.config import ServiceConfig
 from repro.service.errors import BadRequest, ServiceError
+from repro.service.http import HttpFront, Response, Route
 from repro.service.ring import DEFAULT_REPLICAS, ConsistentHashRing
+from repro.service.server import V1_ENDPOINTS
 
 
 @dataclass(frozen=True)
@@ -264,28 +263,9 @@ class ClusterService:
         self.started_at = time.time()
         if self.config.trace_dir is not None:
             obs.set_process_label("router")
-        self._own_recorder: Optional[Recorder] = None
-        self._previous_recorder = None
-        if obs.enabled():
-            self._recorder = obs.get_recorder()
-        else:
-            sinks: Tuple = ()
-            if self.config.trace_dir is not None:
-                import pathlib
-
-                directory = pathlib.Path(self.config.trace_dir)
-                directory.mkdir(parents=True, exist_ok=True)
-                sinks = (
-                    JsonlSink(
-                        directory / f"router.{os.getpid()}.jsonl",
-                        header_fields={
-                            "process": "router", "pid": os.getpid()
-                        },
-                    ),
-                )
-            self._own_recorder = Recorder(sinks=sinks, keep_records=False)
-            self._previous_recorder = obs.set_recorder(self._own_recorder)
-            self._recorder = self._own_recorder
+        self._recorder, self._restore_recorder = obs.install_process_recorder(
+            self.config.trace_dir, "router"
+        )
         self.injector: Optional[ChaosInjector] = None
         self._previous_injector = None
         if self.config.chaos:
@@ -461,27 +441,22 @@ class ClusterService:
         path: str,
         document: Mapping[str, Any],
         header_key: Optional[str] = None,
-        traceparent: Optional[str] = None,
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+    ) -> Response:
         """Route one ``/v1/*`` request to its owner shard, failing over.
 
-        Returns ``(status, payload, headers)`` exactly like
-        :meth:`AvailabilityService.handle`, so the HTTP layer treats a
-        shard answer and a router answer identically.  When the client
-        sent a ``Traceparent`` header, the router joins that trace: a
-        ``router.forward`` span wraps the whole walk, each try gets a
+        Returns ``(status, payload, headers)`` like
+        :meth:`AvailabilityService.handle`, except that a shard's answer
+        is its response body bytes, relayed verbatim.  Under an active
+        trace scope (the HTTP front opens the client's ``Traceparent``)
+        a ``router.forward`` span wraps the whole walk, each try gets a
         ``router.attempt`` child (the failover hop is the attempt with
         ``failover=True``), and the header forwarded to the shard names
         the attempt span, so shard and worker spans parent under it.
         """
         obs.counter("cluster_requests_total", endpoint=path).inc()
         started = time.perf_counter()
-        context = tracecontext.parse_traceparent(traceparent)
-        with tracecontext.trace_scope(context):
-            with obs.span("router.forward", endpoint=path):
-                result = self._forward_with_failover(
-                    path, document, header_key
-                )
+        with obs.span("router.forward", endpoint=path):
+            result = self._forward_with_failover(path, document, header_key)
         obs.histogram("cluster_request_seconds", endpoint=path).observe(
             time.perf_counter() - started
         )
@@ -492,7 +467,7 @@ class ClusterService:
         path: str,
         document: Mapping[str, Any],
         header_key: Optional[str],
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+    ) -> Response:
         key = self.routing_key(path, document, header_key)
         body = json.dumps(dict(document)).encode("utf-8")
         base_headers = {
@@ -536,7 +511,14 @@ class ClusterService:
                         headers[tracecontext.TRACEPARENT_HEADER] = (
                             tracecontext.format_traceparent(attempt_context)
                         )
-                    return self._forward_once(pool, path, body, headers)
+                    status, reply_headers, payload = pool.exchange(
+                        "POST", path, body, headers
+                    )
+                    return status, payload, {
+                        name: reply_headers[name]
+                        for name in self._FORWARD_HEADERS
+                        if reply_headers.get(name)
+                    }
             except TimeoutError:
                 # Slow is not dead: answer 504, leave membership alone.
                 return (
@@ -595,39 +577,6 @@ class ClusterService:
         except ServiceError:
             pass
 
-    def _forward_once(
-        self,
-        pool: HttpConnectionPool,
-        path: str,
-        body: bytes,
-        headers: Mapping[str, str],
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        conn = pool.acquire()
-        try:
-            conn.request("POST", path, body=body, headers=dict(headers))
-            reply = conn.getresponse()
-            payload = reply.read()
-        except (socket.timeout, TimeoutError) as exc:
-            pool.discard(conn)
-            raise TimeoutError(str(exc)) from exc
-        except (ConnectionError, http.client.HTTPException, OSError) as exc:
-            pool.discard(conn)
-            raise ConnectionError(str(exc)) from exc
-        if reply.will_close:
-            pool.discard(conn)
-        else:
-            pool.release(conn)
-        try:
-            document = json.loads(payload.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            document = {"error": "shard returned a non-JSON body"}
-        out_headers = {
-            name: reply.headers[name]
-            for name in self._FORWARD_HEADERS
-            if reply.headers.get(name)
-        }
-        return reply.status, document, out_headers
-
     # Aggregation ---------------------------------------------------------
 
     def _shard_get(self, shard: Shard, path: str) -> Optional[Any]:
@@ -636,28 +585,18 @@ class ClusterService:
             pool = self._pools.get(shard.name)
         if pool is None:
             return None
-        conn = pool.acquire()
         try:
-            conn.request("GET", path)
-            reply = conn.getresponse()
-            payload = reply.read()
-        except (OSError, http.client.HTTPException):
-            pool.discard(conn)
+            status, headers, payload = pool.exchange("GET", path)
+        except (TimeoutError, ConnectionError):
             return None
-        if reply.will_close:
-            pool.discard(conn)
-        else:
-            pool.release(conn)
-        if reply.status != 200:
+        if status != 200:
             return None
         text = payload.decode("utf-8")
-        if reply.headers.get("Content-Type", "").startswith(
-            "application/json"
-        ):
+        if headers.get("Content-Type", "").startswith("application/json"):
             return json.loads(text)
         return text
 
-    def healthz(self) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+    def healthz(self) -> Response:
         """Cluster health: the router's view plus every shard's own."""
         shards: Dict[str, Any] = {}
         healthy = 0
@@ -749,6 +688,37 @@ class ClusterService:
             "shards": shards,
         }
 
+    def routes(self) -> Dict[Tuple[str, str], Route]:
+        """The ``(method, path)`` table the shared HTTP front dispatches on.
+
+        The ``/chaos`` endpoints exist only when the config opted into
+        chaos, as on a shard.
+        """
+        table: Dict[Tuple[str, str], Route] = {
+            ("GET", "/healthz"): lambda *_: self.healthz(),
+            ("GET", "/cluster/status"): lambda *_: (
+                200, self.cluster_status(), {}
+            ),
+        }
+        for path in V1_ENDPOINTS:
+            table["POST", path] = self._serve_forward
+        if self.injector is not None:
+            injector = self.injector
+            table["GET", "/chaos/status"] = lambda *_: (
+                200, injector.status(), {}
+            )
+            table["POST", "/chaos/arm"] = lambda path, document, headers: (
+                *self.chaos_arm(document), {}
+            )
+        return table
+
+    def _serve_forward(
+        self, path: str, document: Any, headers: Mapping[str, str]
+    ) -> Response:
+        if not isinstance(document, dict):
+            return 400, {"error": "request body must be a JSON object"}, {}
+        return self.forward(path, document, headers.get("Idempotency-Key"))
+
     def chaos_arm(self, document: Any) -> Tuple[int, Dict[str, Any]]:
         """Arm a cluster-level injection point (``/chaos/arm``)."""
         if self.injector is None:
@@ -804,122 +774,12 @@ class ClusterService:
         if self.injector is not None:
             chaos.set_injector(self._previous_injector)
             self.injector = None
-        if self._own_recorder is not None:
-            obs.set_recorder(self._previous_recorder)
-            self._own_recorder.close()
-            self._own_recorder = None
+        if self._restore_recorder is not None:
+            self._restore_recorder()
+            self._restore_recorder = None
 
 
-class _RouterHandler(BaseHTTPRequestHandler):
-    """Thin JSON/proxy shim over :class:`ClusterService`."""
-
-    server_version = "repro-avail-router/1"
-    protocol_version = "HTTP/1.1"
-    # Same rationale as the shard handler: a keep-alive exchange must
-    # not wait out the peer's delayed ACK between header and body
-    # segments (Nagle would add ~40 ms to every routed request).
-    disable_nagle_algorithm = True
-
-    @property
-    def cluster(self) -> ClusterService:
-        return self.server.cluster  # type: ignore[attr-defined]
-
-    def log_message(self, format: str, *args: Any) -> None:
-        obs.event("cluster.http", message=format % args)
-
-    def _send_json(
-        self,
-        status: int,
-        payload: Dict[str, Any],
-        headers: Optional[Dict[str, str]] = None,
-    ) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def do_GET(self) -> None:
-        if self.path == "/metrics":
-            body = self.cluster.metrics_text().encode("utf-8")
-            self.send_response(200)
-            self.send_header(
-                "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
-            )
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-            return
-        if self.path == "/healthz":
-            status, payload, headers = self.cluster.healthz()
-            self._send_json(status, payload, headers)
-            return
-        if self.path == "/cluster/status":
-            self._send_json(200, self.cluster.cluster_status())
-            return
-        if self.path == "/chaos/status":
-            injector = self.cluster.injector
-            if injector is None:
-                self._send_json(404, {"error": "chaos surface is disabled"})
-            else:
-                self._send_json(200, injector.status())
-            return
-        self._send_json(404, {"error": f"unknown endpoint {self.path!r}"})
-
-    def do_POST(self) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
-        max_body = self.cluster.config.shard.max_body_bytes
-        if length > max_body:
-            remaining = length
-            while remaining > 0:
-                chunk = self.rfile.read(min(remaining, 65536))
-                if not chunk:
-                    break
-                remaining -= len(chunk)
-            self._send_json(
-                413,
-                {"error": f"request body exceeds {max_body} bytes"},
-            )
-            return
-        raw = self.rfile.read(length) if length else b""
-        try:
-            document = json.loads(raw.decode("utf-8")) if raw else {}
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            self._send_json(400, {"error": f"invalid JSON body: {exc}"})
-            return
-        if self.path == "/chaos/arm":
-            status, payload = self.cluster.chaos_arm(document)
-            self._send_json(status, payload)
-            return
-        if not self.path.startswith("/v1/"):
-            self._send_json(
-                404, {"error": f"unknown endpoint {self.path!r}"}
-            )
-            return
-        if not isinstance(document, dict):
-            self._send_json(
-                400,
-                {"error": "request body must be a JSON object"},
-            )
-            return
-        status, payload, headers = self.cluster.forward(
-            self.path,
-            document,
-            self.headers.get("Idempotency-Key"),
-            traceparent=self.headers.get(tracecontext.TRACEPARENT_HEADER),
-        )
-        self._send_json(status, payload, headers)
-
-
-class _ThreadingRouter(ThreadingHTTPServer):
-    daemon_threads = True
-    request_queue_size = 128
-
-
-class ClusterServer:
+class ClusterServer(HttpFront):
     """Socket lifecycle around one :class:`ClusterService`.
 
     Usage (embedded / tests)::
@@ -936,56 +796,9 @@ class ClusterServer:
     def __init__(self, config: Optional[ClusterConfig] = None) -> None:
         self.config = config or ClusterConfig()
         self.cluster = ClusterService(self.config)
-        try:
-            self._httpd = _ThreadingRouter(
-                (self.config.host, self.config.port), _RouterHandler
-            )
-        except OSError:
-            self.cluster.close()
-            raise
-        self._httpd.cluster = self.cluster  # type: ignore[attr-defined]
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        host, port = self._httpd.server_address[:2]
-        return str(host), int(port)
-
-    @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
-
-    def start(self) -> "ClusterServer":
-        """Serve on a background thread (returns immediately)."""
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._httpd.serve_forever,
-                name="repro-cluster-http",
-                daemon=True,
-            )
-            self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until interrupted."""
-        try:
-            self._httpd.serve_forever()
-        except KeyboardInterrupt:  # pragma: no cover - interactive
-            pass
-        finally:
-            self.close()
-
-    def close(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self.cluster.close()
-
-    def __enter__(self) -> "ClusterServer":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+        super().__init__(
+            self.cluster,
+            self.config.host,
+            self.config.port,
+            self.config.shard.max_body_bytes,
+        )

@@ -106,17 +106,10 @@ def _worker_main(
     obs.set_recorder(NULL_RECORDER)
     worker_label = f"{label}.worker{index}"
     if trace_dir is not None:
-        import pathlib
-
-        from repro.obs.sinks import JsonlSink
+        from repro.obs.sinks import process_trace_sink
 
         obs.set_process_label(worker_label)
-        directory = pathlib.Path(trace_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        sink = JsonlSink(
-            directory / f"{worker_label}.{os.getpid()}.jsonl",
-            header_fields={"process": worker_label, "pid": os.getpid()},
-        )
+        sink = process_trace_sink(trace_dir, worker_label)
         obs.set_recorder(Recorder(sinks=(sink,), keep_records=False))
     if kernel is not None:
         from repro import kernels

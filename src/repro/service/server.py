@@ -6,10 +6,11 @@ Two layers:
   solve cache, the micro-batcher, the heavy-endpoint admission slots
   and the metrics recorder, and maps request documents to response
   documents.  Tests drive it directly; the HTTP layer stays thin.
-* :class:`AvailabilityServer` — a stdlib ``ThreadingHTTPServer`` JSON
-  API on top: ``POST /v1/solve``, ``POST /v1/sweep``,
-  ``POST /v1/uncertainty``, ``GET /healthz``, ``GET /metrics``
-  (Prometheus text exposition re-using :mod:`repro.obs.sinks`).
+* :class:`AvailabilityServer` — the JSON API on top, served by the
+  shared front end in :mod:`repro.service.http`: ``POST /v1/solve``,
+  ``POST /v1/sweep``, ``POST /v1/uncertainty``, ``GET /healthz``,
+  ``GET /metrics`` (Prometheus text exposition re-using
+  :mod:`repro.obs.sinks`).
 
 Request lifecycle for ``/v1/solve``:
 
@@ -32,14 +33,9 @@ Config 1 oracle.
 
 from __future__ import annotations
 
-import json
-import os
-import pathlib
-import sys
 import threading
 import time
 from collections import OrderedDict
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,8 +46,7 @@ from repro.exceptions import ReproError
 from repro.hierarchy import HierarchicalResult
 from repro.models.jsas import PAPER_PARAMETERS, JsasConfiguration
 from repro.obs import tracecontext
-from repro.obs.recorder import Recorder
-from repro.obs.sinks import JsonlSink, render_prometheus
+from repro.obs.sinks import render_prometheus
 from repro.service.cache import SolveCache
 from repro.service.config import ServiceConfig
 from repro.service.errors import BadRequest, Overloaded, ServiceError
@@ -60,6 +55,7 @@ from repro.service.fingerprint import (
     parameter_fingerprint,
     solve_fingerprint,
 )
+from repro.service.http import HttpFront, Response, Route
 from repro.service.scheduler import MicroBatcher
 
 #: Version of the response payload layout.
@@ -88,6 +84,8 @@ _ALLOWED_KEYS = {
         _COMMON_KEYS + ("samples", "seed", "metric", "sampler")
     ),
 }
+#: The ``POST`` API a shard serves and the cluster router forwards.
+V1_ENDPOINTS = tuple(_ALLOWED_KEYS)
 
 
 def _require_document(document: Any) -> Dict[str, Any]:
@@ -195,27 +193,9 @@ class AvailabilityService:
             or self.config.trace_dir is not None
         ):
             obs.set_process_label(label)
-        self._own_recorder: Optional[Recorder] = None
-        self._previous_recorder = None
-        if obs.enabled():
-            self._recorder = obs.get_recorder()
-        else:
-            sinks: Tuple = ()
-            if self.config.trace_dir is not None:
-                # One per-process trace file; the pid in the name keeps
-                # a respawned shard from overwriting its predecessor's
-                # spans (repro.obs.collect merges all of them).
-                directory = pathlib.Path(self.config.trace_dir)
-                directory.mkdir(parents=True, exist_ok=True)
-                sinks = (
-                    JsonlSink(
-                        directory / f"{label}.{os.getpid()}.jsonl",
-                        header_fields={"process": label, "pid": os.getpid()},
-                    ),
-                )
-            self._own_recorder = Recorder(sinks=sinks, keep_records=False)
-            self._previous_recorder = obs.set_recorder(self._own_recorder)
-            self._recorder = self._own_recorder
+        self._recorder, self._restore_recorder = obs.install_process_recorder(
+            self.config.trace_dir, label
+        )
         #: Live injector when the config opts into chaos; ``None`` keeps
         #: every injection point a no-op and hides the /chaos endpoints.
         self.injector: Optional[ChaosInjector] = None
@@ -401,6 +381,39 @@ class AvailabilityService:
         serving = payload.setdefault("serving", {})
         serving["duration_ms"] = duration_ms
         return 200, payload, {}
+
+    def routes(self) -> Dict[Tuple[str, str], Route]:
+        """The ``(method, path)`` table the shared HTTP front dispatches on.
+
+        The ``/chaos`` endpoints exist only when the config opted into
+        chaos; a production server 404s them like any other unknown.
+        """
+        routes = [("GET", "/healthz")]
+        routes += [("POST", path) for path in V1_ENDPOINTS]
+        if self.injector is not None:
+            routes += [("GET", "/chaos/status"), ("POST", "/chaos/arm")]
+        return {route: self._serve for route in routes}
+
+    def _serve(
+        self, path: str, document: Any, headers: Mapping[str, str]
+    ) -> Optional[Response]:
+        idempotency_key = headers.get("Idempotency-Key")
+        if idempotency_key:
+            self.note_idempotency(idempotency_key)
+        response = self.handle(path, document)
+        if (
+            path.startswith("/v1/")
+            and chaos.enabled()
+            and chaos.fire(chaos.POINT_RESPONSE_DROP) is not None
+        ):
+            # The request WAS processed (any solve is already cached);
+            # only the response vanishes.  Closing without writing makes
+            # the client see a connection error — its retry must succeed
+            # from the cache, which is the recovery the campaign scores.
+            obs.counter("service_responses_dropped_total").inc()
+            obs.event("chaos.response_drop", path=path, status=response[0])
+            return None
+        return response
 
     def _handle_solve(self, document: Any) -> Dict[str, Any]:
         document = _require_document(document)
@@ -743,10 +756,9 @@ class AvailabilityService:
         if self.injector is not None:
             chaos.set_injector(self._previous_injector)
             self.injector = None
-        if self._own_recorder is not None:
-            obs.set_recorder(self._previous_recorder)
-            self._own_recorder.close()
-            self._own_recorder = None
+        if self._restore_recorder is not None:
+            self._restore_recorder()
+            self._restore_recorder = None
 
 
 def _config_payload(config: JsasConfiguration) -> Dict[str, Any]:
@@ -816,138 +828,7 @@ def _solve_payload(
     )
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Thin JSON shim over :class:`AvailabilityService`."""
-
-    server_version = "repro-avail-service/1"
-    protocol_version = "HTTP/1.1"
-    # Keep-alive clients pipeline request/response exchanges on one
-    # socket; without TCP_NODELAY the kernel holds the response body
-    # segment until the peer's delayed ACK (~40 ms) arrives, which
-    # would dominate sub-millisecond cache-hit latencies.
-    disable_nagle_algorithm = True
-
-    @property
-    def service(self) -> AvailabilityService:
-        return self.server.service  # type: ignore[attr-defined]
-
-    def log_message(self, format: str, *args: Any) -> None:
-        # Route access logs through obs instead of bare stderr writes.
-        obs.event("service.http", message=format % args)
-
-    def _send_json(
-        self,
-        status: int,
-        payload: Dict[str, Any],
-        headers: Optional[Dict[str, str]] = None,
-    ) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
-            # The client abandoned the socket — typically a deadline
-            # timeout on a request that was still queued (the batcher
-            # cannot cancel it, so the orphan was processed anyway).
-            # Nobody is listening; drop the response without letting
-            # socketserver splat a traceback per zombie request.
-            obs.counter("service_responses_orphaned_total").inc()
-            self.close_connection = True
-
-    def do_GET(self) -> None:
-        if self.path == "/metrics":
-            body = self.service.metrics_text().encode("utf-8")
-            self.send_response(200)
-            self.send_header(
-                "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
-            )
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-            return
-        if self.path in ("/healthz", "/chaos/status"):
-            status, payload, headers = self.service.handle(self.path, None)
-            self._send_json(status, payload, headers)
-            return
-        self._send_json(404, {"error": f"unknown endpoint {self.path!r}"})
-
-    def do_POST(self) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > self.service.config.max_body_bytes:
-            # Drain the oversized body in bounded chunks before
-            # answering: responding mid-upload makes the client see a
-            # reset instead of the 413, and leaving bytes unread would
-            # poison connection reuse.
-            remaining = length
-            while remaining > 0:
-                chunk = self.rfile.read(min(remaining, 65536))
-                if not chunk:
-                    break
-                remaining -= len(chunk)
-            self._send_json(
-                413,
-                {"error": f"request body exceeds "
-                          f"{self.service.config.max_body_bytes} bytes"},
-            )
-            return
-        raw = self.rfile.read(length) if length else b""
-        try:
-            document = json.loads(raw.decode("utf-8")) if raw else {}
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            self._send_json(400, {"error": f"invalid JSON body: {exc}"})
-            return
-        idempotency_key = self.headers.get("Idempotency-Key")
-        if idempotency_key:
-            self.service.note_idempotency(idempotency_key)
-        trace_context = tracecontext.parse_traceparent(
-            self.headers.get(tracecontext.TRACEPARENT_HEADER)
-        )
-        with tracecontext.trace_scope(trace_context):
-            status, payload, headers = self.service.handle(
-                self.path, document
-            )
-        if (
-            self.path.startswith("/v1/")
-            and chaos.enabled()
-            and chaos.fire(chaos.POINT_RESPONSE_DROP) is not None
-        ):
-            # The request WAS processed (any solve is already cached);
-            # only the response vanishes.  Closing without writing makes
-            # the client see a connection error — its retry must succeed
-            # from the cache, which is the recovery the campaign scores.
-            obs.counter("service_responses_dropped_total").inc()
-            obs.event("chaos.response_drop", path=self.path, status=status)
-            self.close_connection = True
-            return
-        self._send_json(status, payload, headers)
-
-
-class _ThreadingServer(ThreadingHTTPServer):
-    daemon_threads = True
-    # The default listen backlog (5) drops connections under bursts of
-    # short-lived clients; load shedding belongs to the work queue, not
-    # the accept queue.
-    request_queue_size = 128
-
-    def handle_error(self, request: Any, client_address: Any) -> None:
-        # A client that hit its deadline tears the socket down while the
-        # handler thread is still parked in readline(); stdlib
-        # socketserver would print a full traceback per abandoned
-        # keep-alive connection.  Count it instead — under deliberate
-        # overload (chaos campaigns) these arrive by the hundreds.
-        exc = sys.exc_info()[1]
-        if isinstance(exc, (BrokenPipeError, ConnectionResetError)):
-            obs.counter("service_connections_reset_total").inc()
-            return
-        super().handle_error(request, client_address)
-
-
-class AvailabilityServer:
+class AvailabilityServer(HttpFront):
     """Socket lifecycle around one :class:`AvailabilityService`.
 
     Usage (embedded / tests)::
@@ -964,56 +845,9 @@ class AvailabilityServer:
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         self.config = config or ServiceConfig()
         self.service = AvailabilityService(self.config)
-        try:
-            self._httpd = _ThreadingServer(
-                (self.config.host, self.config.port), _Handler
-            )
-        except OSError:
-            self.service.close()
-            raise
-        self._httpd.service = self.service  # type: ignore[attr-defined]
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        host, port = self._httpd.server_address[:2]
-        return str(host), int(port)
-
-    @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
-
-    def start(self) -> "AvailabilityServer":
-        """Serve on a background thread (returns immediately)."""
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._httpd.serve_forever,
-                name="repro-service-http",
-                daemon=True,
-            )
-            self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until interrupted."""
-        try:
-            self._httpd.serve_forever()
-        except KeyboardInterrupt:  # pragma: no cover - interactive
-            pass
-        finally:
-            self.close()
-
-    def close(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self.service.close()
-
-    def __enter__(self) -> "AvailabilityServer":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+        super().__init__(
+            self.service,
+            self.config.host,
+            self.config.port,
+            self.config.max_body_bytes,
+        )
