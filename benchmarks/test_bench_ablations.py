@@ -5,13 +5,30 @@
 * Scheduled maintenance on/off.
 * Sequential vs parallel AS restart policy (the generalized model's
   undocumented degree of freedom).
-* Steady-state solver choice (direct vs GTH vs power) on the same chain.
+* Steady-state solver choice (direct vs GTH vs power) on the same chain,
+  and the banded solve's two paths (C GTH, LAPACK band-LU) against the
+  reference GTH on the N-instance AS chain.
 """
 
+import functools
+import statistics
+import time
+
+import numpy as np
 import pytest
 
 from repro.analysis.report import render_table
-from repro.ctmc import solve_steady_state, steady_state_availability
+from repro.core.compiled import compile_model
+from repro.ctmc import (
+    build_generator,
+    solve_steady_state,
+    steady_state_availability,
+)
+from repro.ctmc.batch import banded_structure_of
+from repro.ctmc.sparse import gth_banded_batch
+from repro.ctmc.steady_state import _gth_reference
+from repro.kernels import cext
+from repro.kernels.banded import banded_steady_state
 from repro.models.jsas import (
     CONFIG_1,
     PAPER_PARAMETERS,
@@ -103,16 +120,91 @@ def run_solver_comparison():
     }
 
 
+BANDED_INSTANCES = (11, 64, 256)
+BANDED_SAMPLES = (1, 100)
+BANDED_REPS = 7
+BANDED_PATHS = ("C GTH", "LAPACK band-LU", "reference GTH")
+
+
+def _median_ms(run) -> float:
+    timings = []
+    for _ in range(BANDED_REPS):
+        start = time.perf_counter()
+        run()
+        timings.append((time.perf_counter() - start) * 1000.0)
+    return statistics.median(timings)
+
+
+def run_banded_paths(monkeypatch):
+    """Time and check each banded path on a ``Tstart_long_as`` sweep.
+
+    Rows are ``(N, states, samples, path, median ms, max rel error)``;
+    the error is against dense GTH on every sample.  The LAPACK path is
+    reached by faking the C kernel unavailable, as ``tests/kernels``
+    does; the C rows are left out on a host that cannot build it.
+    """
+    paths = BANDED_PATHS if cext.load() is not None else BANDED_PATHS[1:]
+    rows = []
+    for n in BANDED_INSTANCES:
+        model = build_appserver_model(n)
+        compiled = compile_model(model)
+        structure = banded_structure_of(compiled)
+        sweep = np.linspace(5.0, 60.0, max(BANDED_SAMPLES))
+        dense = np.stack([
+            _gth_reference(
+                build_generator(
+                    model, dict(BASE, Tstart_long_as=float(x)), sparse=False
+                ).dense()
+            )
+            for x in sweep
+        ])
+        for k in BANDED_SAMPLES:
+            rates = compiled.rate_matrix(
+                dict(BASE, Tstart_long_as=sweep[:k]), k
+            )
+            for path in paths:
+                if path == "reference GTH":
+                    run = functools.partial(gth_banded_batch, structure, rates)
+                else:
+                    run = functools.partial(
+                        banded_steady_state, compiled, rates
+                    )
+                with monkeypatch.context() as patch:
+                    if path == "LAPACK band-LU":
+                        patch.setattr(cext, "load", lambda: None)
+                    pis = run()  # also the warm-up: plan and C build
+                    ms = _median_ms(run)
+                np.testing.assert_allclose(
+                    pis, dense[:k], rtol=1e-10, atol=1e-14, err_msg=path
+                )
+                error = float(np.max(np.abs(pis - dense[:k]) / dense[:k]))
+                rows.append((n, compiled.n_states, k, path, ms, error))
+    return rows
+
+
 @pytest.mark.benchmark(group="solvers")
-def test_bench_solver_agreement(benchmark, save_artifact):
+def test_bench_solver_agreement(benchmark, save_artifact, monkeypatch):
     probabilities = benchmark(run_solver_comparison)
+    banded = run_banded_paths(monkeypatch)
 
     table = render_table(
         ["solver", "P(2_Down)"],
         [(m, f"{p:.6e}") for m, p in probabilities.items()],
         title="Steady-state solver agreement on the HADB pair chain",
     )
-    save_artifact("ablations_solvers", table)
+    banded_table = render_table(
+        ["N", "states", "samples", "path", "median ms",
+         "max rel err vs dense GTH"],
+        [
+            (str(n), str(states), str(k), path, f"{ms:.3f}", f"{err:.1e}")
+            for n, states, k, path, ms, err in banded
+        ],
+        title=(
+            "Banded steady-state paths on build_appserver_model(N), "
+            f"Tstart_long_as sweep (median of {BANDED_REPS})"
+        ),
+    )
+    save_artifact("ablations_solvers", table + "\n\n" + banded_table)
 
     reference = probabilities["direct"]
     assert probabilities["gth"] == pytest.approx(reference, rel=1e-9)

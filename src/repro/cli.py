@@ -712,7 +712,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             else None
         ),
         worker_processes=args.worker_processes,
-        kernel=args.kernel,
     )
     solver_side = (
         f"{config.worker_processes} solver processes"
@@ -968,12 +967,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--metrics", metavar="FILE", default=None,
         help="write the run's metrics in Prometheus text format",
-    )
-    parser.add_argument(
-        "--kernel", choices=("auto", "numpy", "cext", "numba"),
-        default=None,
-        help="solve-kernel backend for this run (default: the "
-        "REPRO_KERNEL selection, itself defaulting to 'auto')",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -1361,14 +1354,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.kernel is not None:
-        from repro import kernels
-        from repro.exceptions import KernelError
-
-        try:
-            kernels.set_backend(args.kernel)
-        except KernelError as exc:
-            parser.error(str(exc))
     recorder = None
     previous = None
     if args.trace or args.metrics:

@@ -22,17 +22,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.core.model import MarkovModel
-from repro.ctmc.generator import GeneratorMatrix, build_generator
+from repro.ctmc.generator import GeneratorMatrix, as_generator
 from repro.ctmc.structure import reachable_from
 from repro.exceptions import SolverError, StructureError
-
-
-def _as_generator(model_or_generator, values):
-    if isinstance(model_or_generator, GeneratorMatrix):
-        return model_or_generator
-    if values is None:
-        raise SolverError("parameter values are required when passing a MarkovModel")
-    return build_generator(model_or_generator, values)
 
 
 def mean_time_to_absorption(
@@ -52,7 +44,7 @@ def mean_time_to_absorption(
         StructureError: If some non-target state cannot reach any target
             (its hitting time would be infinite).
     """
-    generator = _as_generator(model_or_generator, values)
+    generator = as_generator(model_or_generator, values)
     targets = set(target_states)
     unknown = targets - set(generator.state_names)
     if unknown:
@@ -100,7 +92,7 @@ def mean_time_to_failure(
         from_state: Starting state; defaults to the first state (the
             conventional all-up state).
     """
-    generator = _as_generator(model_or_generator, values)
+    generator = as_generator(model_or_generator, values)
     down = [
         name
         for name, reward in zip(generator.state_names, generator.rewards)
@@ -129,7 +121,7 @@ def absorption_probabilities(
     returns, for each non-target state s, the distribution over which
     target is reached first: ``result[s][target] = P(hit target first | start s)``.
     """
-    generator = _as_generator(model_or_generator, values)
+    generator = as_generator(model_or_generator, values)
     targets = list(dict.fromkeys(target_states))
     unknown = set(targets) - set(generator.state_names)
     if unknown:

@@ -492,8 +492,8 @@ def _structured_solve_block(
     if engine == "banded":
         structure = banded_structure_of(compiled)
         assert structure is not None
-        # The kernel dispatch (numba / cext / block-diagonal LAPACK,
-        # falling back per sample to the GTH reference) replaces the
+        # The kernel dispatch (C GTH, or block-diagonal LAPACK falling
+        # back per sample to the GTH reference) replaces the
         # interpreted Python elimination loop.
         pis = banded_steady_state(compiled, rates)
     else:

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.core.model import MarkovModel
-from repro.exceptions import ModelError
+from repro.exceptions import ModelError, SolverError
 
 #: Above this state count we assemble a sparse matrix by default.
 SPARSE_THRESHOLD = 200
@@ -192,3 +192,22 @@ def build_generator(
         rewards=np.asarray(model.reward_vector(), dtype=float),
         model_name=model.name,
     )
+
+
+def as_generator(
+    model_or_generator: Union[MarkovModel, GeneratorMatrix],
+    values: Optional[Mapping[str, float]],
+) -> GeneratorMatrix:
+    """A bound generator passes through; a model is built with ``values``.
+
+    The one coercion behind every solver entry point that accepts either
+    form.  Raises :class:`~repro.exceptions.SolverError` when a
+    :class:`~repro.core.model.MarkovModel` arrives without values.
+    """
+    if isinstance(model_or_generator, GeneratorMatrix):
+        return model_or_generator
+    if values is None:
+        raise SolverError(
+            "parameter values are required when passing a MarkovModel"
+        )
+    return build_generator(model_or_generator, values)

@@ -24,20 +24,10 @@ import numpy as np
 
 from repro.core.model import MarkovModel
 from repro.ctmc.absorption import mean_time_to_absorption
-from repro.ctmc.generator import GeneratorMatrix, build_generator
+from repro.ctmc.generator import GeneratorMatrix, as_generator
 from repro.ctmc.steady_state import steady_state_vector
 from repro.ctmc.structure import classify_states
 from repro.exceptions import SolverError, StructureError
-
-
-def _as_generator(model_or_generator, values):
-    if isinstance(model_or_generator, GeneratorMatrix):
-        return model_or_generator
-    if values is None:
-        raise SolverError(
-            "parameter values are required when passing a MarkovModel"
-        )
-    return build_generator(model_or_generator, values)
 
 
 def _require_irreducible(generator: GeneratorMatrix) -> None:
@@ -62,7 +52,7 @@ def mean_first_passage_matrix(
     absorbing, solve the transient block) — O(n^4) overall, fine for
     availability-model sizes and numerically robust.
     """
-    generator = _as_generator(model_or_generator, values)
+    generator = as_generator(model_or_generator, values)
     _require_irreducible(generator)
     names = generator.state_names
     matrix: Dict[str, Dict[str, float]] = {name: {} for name in names}
@@ -86,7 +76,7 @@ def mean_return_times(
     ``1 / (pi_j * q_j) * E[sojourn] + ...`` — most cleanly computed as
     ``sojourn_j + sum_k P_jump(j -> k) * M[k][j]``.
     """
-    generator = _as_generator(model_or_generator, values)
+    generator = as_generator(model_or_generator, values)
     _require_irreducible(generator)
     names = generator.state_names
     q = generator.dense()
@@ -119,7 +109,7 @@ def kemeny_constant(
     how quickly the chain mixes; the start-state independence is
     verified by the tests from two different starting states.
     """
-    generator = _as_generator(model_or_generator, values)
+    generator = as_generator(model_or_generator, values)
     _require_irreducible(generator)
     pi = steady_state_vector(generator)
     passage = mean_first_passage_matrix(generator)
@@ -145,7 +135,7 @@ def expected_visits(
     windows (e.g. "how many restarts per year does the model predict" —
     a number the testbed's logs can be compared against).
     """
-    generator = _as_generator(model_or_generator, values)
+    generator = as_generator(model_or_generator, values)
     _require_irreducible(generator)
     if horizon <= 0.0:
         raise SolverError(f"horizon must be positive, got {horizon}")

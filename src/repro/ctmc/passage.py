@@ -19,7 +19,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from repro.core.model import MarkovModel
-from repro.ctmc.generator import GeneratorMatrix, build_generator
+from repro.ctmc.generator import GeneratorMatrix, as_generator
 from repro.ctmc.structure import reachable_from
 from repro.ctmc.transient import _initial_vector, _uniformization
 from repro.exceptions import SolverError, StructureError
@@ -60,14 +60,7 @@ def passage_time_cdf(
             defaults to the model's first state.
         tol: Uniformization tolerance.
     """
-    if isinstance(model_or_generator, GeneratorMatrix):
-        generator = model_or_generator
-    else:
-        if values is None:
-            raise SolverError(
-                "parameter values are required when passing a MarkovModel"
-            )
-        generator = build_generator(model_or_generator, values)
+    generator = as_generator(model_or_generator, values)
     target_set = set(targets)
     if not target_set:
         raise SolverError("at least one target state is required")
@@ -172,14 +165,7 @@ def outage_duration_cdf(
             the model's single down state and must be given explicitly
             when there are several.
     """
-    if isinstance(model_or_generator, GeneratorMatrix):
-        generator = model_or_generator
-    else:
-        if values is None:
-            raise SolverError(
-                "parameter values are required when passing a MarkovModel"
-            )
-        generator = build_generator(model_or_generator, values)
+    generator = as_generator(model_or_generator, values)
     up = generator.up_mask()
     down_states = [
         name for name, is_up in zip(generator.state_names, up) if not is_up

@@ -39,18 +39,10 @@ from typing import Dict, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.model import MarkovModel
-from repro.ctmc.generator import GeneratorMatrix, build_generator
+from repro.ctmc.generator import GeneratorMatrix, as_generator
 from repro.ctmc.steady_state import steady_state_vector
 from repro.exceptions import SolverError, StructureError
 from repro.units import unavailability_to_yearly_downtime_minutes
-
-
-def _as_generator(model_or_generator, values):
-    if isinstance(model_or_generator, GeneratorMatrix):
-        return model_or_generator
-    if values is None:
-        raise SolverError("parameter values are required when passing a MarkovModel")
-    return build_generator(model_or_generator, values)
 
 
 @dataclass(frozen=True)
@@ -103,7 +95,7 @@ def expected_steady_state_reward(
     availability; for performability models it is the long-run average
     reward rate.
     """
-    generator = _as_generator(model_or_generator, values)
+    generator = as_generator(model_or_generator, values)
     pi = steady_state_vector(generator, method=method)
     return float(np.dot(pi, generator.rewards))
 
@@ -132,7 +124,7 @@ def equivalent_failure_recovery_rates(
         raise SolverError(
             f"unknown abstraction {abstraction!r}; expected 'mttf' or 'flow'"
         )
-    generator = _as_generator(model_or_generator, values)
+    generator = as_generator(model_or_generator, values)
     if pi is None:
         pi = steady_state_vector(generator, method=method)
     up = generator.up_mask()
@@ -202,7 +194,7 @@ def steady_state_availability(
     counts a state as up iff its reward is strictly positive; fractional
     rewards only affect :func:`expected_steady_state_reward`.
     """
-    generator = _as_generator(model_or_generator, values)
+    generator = as_generator(model_or_generator, values)
     pi = steady_state_vector(generator, method=method)
     up = generator.up_mask()
     availability = float(pi[up].sum())

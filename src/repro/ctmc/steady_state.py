@@ -40,7 +40,7 @@ import scipy.sparse.linalg as spla
 
 from repro import obs
 from repro.core.model import MarkovModel
-from repro.ctmc.generator import GeneratorMatrix, build_generator
+from repro.ctmc.generator import GeneratorMatrix, as_generator
 from repro.ctmc.sparse import (
     BANDED_MIN_STATES,
     generator_banded_structure,
@@ -161,14 +161,7 @@ def solve_steady_state(
     Accepts either a :class:`~repro.core.model.MarkovModel` plus parameter
     values, or an already-built :class:`GeneratorMatrix`.
     """
-    if isinstance(model_or_generator, GeneratorMatrix):
-        generator = model_or_generator
-    else:
-        if values is None:
-            raise SolverError(
-                "parameter values are required when passing a MarkovModel"
-            )
-        generator = build_generator(model_or_generator, values)
+    generator = as_generator(model_or_generator, values)
     pi = steady_state_vector(generator, method=method, **kwargs)
     return dict(zip(generator.state_names, pi.tolist()))
 

@@ -24,21 +24,10 @@ import scipy.linalg
 import scipy.special
 
 from repro.core.model import MarkovModel
-from repro.ctmc.generator import GeneratorMatrix, build_generator
+from repro.ctmc.generator import GeneratorMatrix, as_generator
 from repro.exceptions import SolverError
 
 Method = str  # "uniformization" | "expm"
-
-
-def _as_generator(
-    model_or_generator: Union[MarkovModel, GeneratorMatrix],
-    values: Optional[Mapping[str, float]],
-) -> GeneratorMatrix:
-    if isinstance(model_or_generator, GeneratorMatrix):
-        return model_or_generator
-    if values is None:
-        raise SolverError("parameter values are required when passing a MarkovModel")
-    return build_generator(model_or_generator, values)
 
 
 def _initial_vector(
@@ -95,7 +84,7 @@ def transient_distribution(
     Returns:
         ``{state_name: probability}`` at time ``t``.
     """
-    generator = _as_generator(model_or_generator, values)
+    generator = as_generator(model_or_generator, values)
     if t < 0.0:
         raise SolverError(f"time must be non-negative, got {t}")
     p0 = _initial_vector(generator, initial)
@@ -127,7 +116,7 @@ def transient_reward(
     For a pure availability model (rewards in {0, 1}) this is the
     *point availability* A(t).
     """
-    generator = _as_generator(model_or_generator, values)
+    generator = as_generator(model_or_generator, values)
     distribution = transient_distribution(
         generator, t, initial=initial, method=method
     )
@@ -152,7 +141,7 @@ def interval_availability(
     integral recurrence.  For rewards in {0, 1} this is the classic
     interval availability studied in the RAScad companion paper [18].
     """
-    generator = _as_generator(model_or_generator, values)
+    generator = as_generator(model_or_generator, values)
     if t <= 0.0:
         raise SolverError(f"interval length must be positive, got {t}")
     p0 = _initial_vector(generator, initial)

@@ -71,9 +71,5 @@ class SelfModelError(ReproError):
     """
 
 
-class KernelError(ReproError):
-    """A compiled solve kernel could not be selected, built, or run."""
-
-
 class ParallelError(ReproError):
     """The shared-memory worker pool failed (worker crash, bad chunking)."""

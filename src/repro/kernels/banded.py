@@ -2,9 +2,13 @@
 
 The interpreted reference (:func:`repro.ctmc.sparse.gth_banded_batch`)
 is a Python loop over states — O(n) interpreter iterations per batch.
-This module compiles the same solve three ways, selected by the active
-backend (:func:`repro.kernels.backend_name`):
+This module runs the same solve on one of two paths, chosen by the host
+(:func:`repro.kernels.backend_name` reports which):
 
+* **cext** — the C GTH elimination from :mod:`repro.kernels.cext`,
+  assembled through the same precomputed scatter maps.  Used whenever
+  the host can build and load it; the fastest path at every size from
+  100 samples up, and within ~3e-15 relative of dense GTH.
 * **numpy** — reformulate ``pi Q = 0, sum(pi) = 1`` as one banded linear
   system and solve the *whole batch* with a single LAPACK ``dgbsv``
   call.  Setting ``pi_0 = 1`` and dropping column 0 of ``Q`` leaves the
@@ -16,11 +20,8 @@ backend (:func:`repro.kernels.backend_name`):
   candidate entry is structurally zero, and a zero multiplier row update
   is an exact IEEE no-op), so **per-sample results are bit-independent
   of how the batch is chunked** — the property the deterministic worker
-  pool (:mod:`repro.parallel`) relies on.
-* **cext** — the C GTH elimination from :mod:`repro.kernels.cext`,
-  assembled through the same precomputed scatter maps.
-* **numba** — an ``@njit`` transcription of the same elimination,
-  compiled lazily on first use.
+  pool (:mod:`repro.parallel`) relies on.  Used when the host has no C
+  compiler, or once a C build or load has failed in this process.
 
 All assembly goes through precomputed gather/segment-sum maps
 (:class:`_ScatterMap`) instead of ``np.add.at`` or sparse matmuls — the
@@ -33,7 +34,8 @@ assembly they replaced.
 Failures degrade, never corrupt: samples the LAPACK solve cannot handle
 are re-solved individually (bit-identical to their batched solve — see
 above) and then, if still invalid, by the subtraction-free GTH
-reference; backend-level failures demote the process to numpy.
+reference; a C build or load failure moves the process to the LAPACK
+path for good.
 """
 
 from __future__ import annotations
@@ -172,8 +174,8 @@ class BandedKernelPlan:
             t[init], g[init] - 1, -np.ones(int(init.sum())), self.nm
         )
 
-        # GTH band-plus-spike storage for the cext / numba eliminators
-        # (same layout as gth_banded_batch).
+        # GTH band-plus-spike storage for the C eliminator (same layout
+        # as gth_banded_batch).
         in_band = structure.band_slots >= 0
         self.band_map = _ScatterMap(
             t[in_band],
@@ -205,7 +207,7 @@ def banded_kernel_plan(compiled) -> BandedKernelPlan:
     return plan
 
 
-# numpy backend --------------------------------------------------------------
+# LAPACK path ----------------------------------------------------------------
 
 
 def _dgbsv_block(plan: BandedKernelPlan, ab_flat: np.ndarray,
@@ -269,7 +271,7 @@ def _solve_numpy(plan: BandedKernelPlan, rates: np.ndarray) -> np.ndarray:
     return pis / sums[:, None]
 
 
-# cext backend ---------------------------------------------------------------
+# C path ---------------------------------------------------------------------
 
 
 def _solve_cext(plan: BandedKernelPlan, rates: np.ndarray) -> Optional[np.ndarray]:
@@ -300,100 +302,11 @@ def _solve_cext(plan: BandedKernelPlan, rates: np.ndarray) -> Optional[np.ndarra
     return pis
 
 
-# numba backend --------------------------------------------------------------
-
-_numba_fn = None
-_numba_failed = False
-
-
-def _numba_kernel():
-    """Build (once) the ``@njit`` GTH eliminator; ``None`` on failure."""
-    global _numba_fn, _numba_failed
-    if _numba_fn is not None:
-        return _numba_fn
-    if _numba_failed:
-        return None
-    try:
-        import numba
-
-        @numba.njit(cache=False, fastmath=False)
-        def gth(band, spike, pis, n, w, u, l):  # pragma: no cover - needs numba
-            k_samples = band.shape[0]
-            for s in range(k_samples):
-                B = band[s]
-                S = spike[s]
-                P = pis[s]
-                for k in range(n - 1, 0, -1):
-                    lo_row = max(1, k - l)
-                    lo_col = max(0, k - u)
-                    total = S[k]
-                    for j in range(lo_row, k):
-                        total += B[j * w + u + k - j]
-                    if not total > 0.0:
-                        return 1 + s
-                    for i in range(lo_col, k):
-                        factor = B[k * w + u + i - k] / total
-                        B[k * w + u + i - k] = factor
-                        if factor != 0.0:
-                            for j in range(lo_row, k):
-                                B[j * w + u + i - j] += (
-                                    factor * B[j * w + u + k - j]
-                                )
-                            S[i] += factor * S[k]
-                P[0] = 1.0
-                acc_sum = 1.0
-                for k in range(1, n):
-                    lo_col = max(0, k - u)
-                    acc = 0.0
-                    for i in range(lo_col, k):
-                        acc += P[i] * B[k * w + u + i - k]
-                    P[k] = acc
-                    acc_sum += acc
-                if not acc_sum > 0.0 or (acc_sum - acc_sum) != 0.0:
-                    return -(1 + s)
-                for k in range(n):
-                    P[k] /= acc_sum
-            return 0
-
-        _numba_fn = gth
-        return _numba_fn
-    except Exception:  # noqa: BLE001 - any numba failure demotes
-        _numba_failed = True
-        return None
-
-
-def _solve_numba(plan: BandedKernelPlan, rates: np.ndarray) -> Optional[np.ndarray]:
-    gth = _numba_kernel()
-    if gth is None:
-        return None
-    st = plan.structure
-    k = rates.shape[0]
-    band = plan.band_map.apply(rates)
-    spike = plan.spike_map.apply(rates)
-    pis = np.empty((k, st.n))
-    try:
-        status = gth(band, spike, pis, st.n, st.width, st.upper, st.lower)
-    except Exception:  # noqa: BLE001 - pragma: no cover - jit runtime failure
-        return None
-    if status > 0:
-        raise SolverError(
-            "GTH elimination failed: no transition from eliminated "
-            "state back into the remaining block (reducible chain?) "
-            f"(sample {status - 1})"
-        )
-    if status < 0:
-        raise SolverError(
-            "banded GTH elimination produced a non-normalizable vector "
-            f"(sample {-status - 1})"
-        )
-    return pis
-
-
 # Dispatch -------------------------------------------------------------------
 
 
 def banded_steady_state(compiled, rates: np.ndarray) -> np.ndarray:
-    """Stationary vectors through the active kernel backend.
+    """Stationary vectors through the C kernel, or LAPACK without one.
 
     Args:
         compiled: A :class:`~repro.core.compiled.CompiledModel` whose
@@ -407,18 +320,6 @@ def banded_steady_state(compiled, rates: np.ndarray) -> np.ndarray:
         SolverError: On a reducible / non-normalizable sample, matching
             the interpreted engine's behavior.
     """
-    from repro import kernels
-
     plan = banded_kernel_plan(compiled)
-    backend = kernels.backend_name()
-    if backend == "numba":
-        pis = _solve_numba(plan, rates)
-        if pis is not None:
-            return pis
-        kernels.demote_to_numpy("numba banded kernel unavailable")
-    elif backend == "cext":
-        pis = _solve_cext(plan, rates)
-        if pis is not None:
-            return pis
-        kernels.demote_to_numpy("cext banded kernel unavailable")
-    return _solve_numpy(plan, rates)
+    pis = _solve_cext(plan, rates)
+    return pis if pis is not None else _solve_numpy(plan, rates)

@@ -5,8 +5,10 @@ with whatever C compiler is on ``PATH`` (``cc``, ``gcc`` or ``clang``)
 into a shared object under ``$REPRO_KERNEL_CACHE`` (default
 ``~/.cache/repro/kernels``), keyed by a hash of the source, and loaded
 through :mod:`ctypes`.  Everything is defensive: no compiler, a failed
-build, or a failed load simply report the backend unavailable and the
-caller demotes to the numpy kernel.
+build, or a failed load simply report the kernel unavailable, and the
+banded solve takes the LAPACK path.  A build or load that fails is
+remembered for the rest of the process and announced once as a
+``kernels.demoted`` event.
 
 The kernel itself is the same subtraction-free banded-plus-spike GTH
 elimination as :func:`repro.ctmc.sparse.gth_banded_batch`, one C loop
@@ -27,6 +29,8 @@ import subprocess
 import tempfile
 import threading
 from typing import Optional
+
+from repro import obs
 
 _C_SOURCE = r"""
 #include <stddef.h>
@@ -154,10 +158,7 @@ def probe() -> bool:
     return _compiler() is not None
 
 
-def _build(target: pathlib.Path) -> None:
-    compiler = _compiler()
-    if compiler is None:
-        raise OSError("no C compiler (cc/gcc/clang) on PATH")
+def _build(target: pathlib.Path, compiler: str) -> None:
     target.parent.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=str(target.parent)) as tmp:
         source = pathlib.Path(tmp) / "repro_gth.c"
@@ -193,7 +194,13 @@ def load() -> Optional[ctypes.CDLL]:
         target = _library_path()
         try:
             if not target.exists():
-                _build(target)
+                compiler = _compiler()
+                if compiler is None:
+                    # No toolchain on this host: the LAPACK path from
+                    # the start, nothing to announce.
+                    _failed = True
+                    return None
+                _build(target, compiler)
             lib = ctypes.CDLL(str(target))
             fn = lib.repro_gth_banded
             fn.restype = ctypes.c_long
@@ -220,8 +227,9 @@ def load() -> Optional[ctypes.CDLL]:
                 ctypes.c_long,
                 ctypes.c_long,
             ]
-        except (OSError, subprocess.SubprocessError, AttributeError):
+        except (OSError, subprocess.SubprocessError, AttributeError) as exc:
             _failed = True
+            obs.event("kernels.demoted", backend="cext", reason=str(exc))
             return None
         _lib = lib
         return _lib

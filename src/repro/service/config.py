@@ -59,10 +59,6 @@ class ServiceConfig:
             routes every ``/v1/solve`` batch through the shared dispatch
             queue (see :mod:`repro.service.prefork`).  Payloads are
             bit-identical either way.
-        kernel: Solve-kernel backend override applied at service boot
-            (``"auto"``, ``"numpy"``, ``"cext"`` or ``"numba"``);
-            ``None`` keeps the process-wide default.  Pre-forked workers
-            inherit the selection.
         trace_dir: Directory for per-process distributed-trace JSONL
             files.  When set (and no recorder is already installed),
             the server boots a recorder writing spans to
@@ -90,7 +86,6 @@ class ServiceConfig:
     chaos_stall_seconds: float = 0.05
     chaos_rates: Optional[Tuple[Tuple[str, float], ...]] = None
     worker_processes: int = 0
-    kernel: Optional[str] = None
     trace_dir: Optional[str] = None
     process_label: Optional[str] = None
 
@@ -157,11 +152,4 @@ class ServiceConfig:
         if self.worker_processes < 0:
             raise BadRequest(
                 f"worker_processes must be >= 0, got {self.worker_processes}"
-            )
-        if self.kernel is not None and self.kernel not in (
-            "auto", "numpy", "cext", "numba"
-        ):
-            raise BadRequest(
-                f"unknown kernel {self.kernel!r}; expected one of "
-                "'auto', 'numpy', 'cext', 'numba'"
             )

@@ -6,7 +6,7 @@ but one Python process tops out at one core of linear algebra.  With
 processes at boot; every coalesced ``/v1/solve`` batch is dispatched
 round-robin over a *per-worker duplex pipe*, solved there, and the
 JSON-able *result cores* travel back over the same pipe.  Compiled
-models and kernel selections live in each worker (inherited from the
+models and the loaded C kernel live in each worker (inherited from the
 parent by fork, then warmed per group on first use).
 
 Two design rules make the pool robust to workers dying at arbitrary
@@ -91,7 +91,6 @@ def _group_from_spec(spec: Tuple) -> Any:
 
 def _worker_main(
     conn: Any,
-    kernel: Optional[str],
     trace_dir: Optional[str] = None,
     label: str = "service",
     index: int = 0,
@@ -111,13 +110,6 @@ def _worker_main(
         obs.set_process_label(worker_label)
         sink = process_trace_sink(trace_dir, worker_label)
         obs.set_recorder(Recorder(sinks=(sink,), keep_records=False))
-    if kernel is not None:
-        from repro import kernels
-
-        try:
-            kernels.set_backend(kernel)
-        except Exception:  # noqa: BLE001 - parent already validated
-            pass
     groups: Dict[Tuple, Any] = {}
     if parent_pid is None:  # pre-fork callers always pass it
         parent_pid = os.getppid()
@@ -217,7 +209,6 @@ class SolverPool:
     def __init__(
         self,
         n_workers: int,
-        kernel: Optional[str] = None,
         trace_dir: Optional[str] = None,
         label: str = "service",
     ) -> None:
@@ -230,7 +221,6 @@ class SolverPool:
                 "pre-forked solver workers need the 'fork' start method"
             )
         self.n_workers = n_workers
-        self.kernel = kernel
         self.trace_dir = trace_dir
         self.label = label
         self._context = multiprocessing.get_context("fork")
@@ -251,11 +241,7 @@ class SolverPool:
         )
         self._manager.start()
         self._ready.wait(30.0)
-        obs.event(
-            "service.prefork.started",
-            n_workers=n_workers,
-            kernel=kernel or "inherit",
-        )
+        obs.event("service.prefork.started", n_workers=n_workers)
 
     # Worker lifecycle (manager thread only) ------------------------------
 
@@ -264,8 +250,8 @@ class SolverPool:
         process = self._context.Process(
             target=_worker_main,
             args=(
-                child_conn, self.kernel, self.trace_dir, self.label,
-                index, os.getpid(),
+                child_conn, self.trace_dir, self.label, index,
+                os.getpid(),
             ),
             daemon=True,
         )

@@ -211,10 +211,6 @@ class AvailabilityService:
                 stall_seconds=self.config.chaos_stall_seconds,
             )
             self._previous_injector = chaos.set_injector(self.injector)
-        if self.config.kernel is not None:
-            from repro import kernels
-
-            kernels.set_backend(self.config.kernel)
         self.cache = SolveCache(
             max_entries=self.config.cache_size,
             spill_path=self.config.cache_file,
@@ -234,7 +230,6 @@ class AvailabilityService:
             if prefork.fork_available():
                 self.pool = prefork.SolverPool(
                     self.config.worker_processes,
-                    kernel=self.config.kernel,
                     trace_dir=self.config.trace_dir,
                     label=label,
                 )

@@ -4,6 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core.model import MarkovModel, birth_death_model
+from repro.ctmc import (
+    mean_first_passage_matrix,
+    mean_time_to_absorption,
+    outage_duration_cdf,
+    passage_time_cdf,
+    steady_state_availability,
+    transient_distribution,
+)
 from repro.ctmc.generator import build_generator
 from repro.ctmc.steady_state import solve_steady_state, steady_state_vector
 from repro.exceptions import SolverError, StructureError
@@ -107,9 +115,27 @@ class TestStructureGuards:
         with pytest.raises(SolverError, match="unknown steady-state method"):
             solve_steady_state(two_state_model, two_state_values, "magic")
 
-    def test_model_without_values_rejected(self, two_state_model):
+    @pytest.mark.parametrize(
+        "entry_point",
+        [
+            solve_steady_state,
+            lambda model: transient_distribution(model, 1.0),
+            lambda model: mean_time_to_absorption(model, ["Down"]),
+            steady_state_availability,
+            mean_first_passage_matrix,
+            lambda model: passage_time_cdf(model, ["Down"], 1.0),
+            lambda model: outage_duration_cdf(model, 1.0),
+        ],
+        ids=[
+            "steady_state", "transient", "absorption", "rewards", "mfpt",
+            "passage", "outage",
+        ],
+    )
+    def test_model_without_values_rejected(
+        self, two_state_model, entry_point
+    ):
         with pytest.raises(SolverError, match="values are required"):
-            solve_steady_state(two_state_model)
+            entry_point(two_state_model)
 
 
 class TestVectorApi:

@@ -1,21 +1,32 @@
-"""Banded steady-state kernels: parity, determinism, failure paths."""
+"""Banded steady-state kernels: parity, determinism, failure paths.
+
+Every property runs on both paths a host can take: the C kernel, and
+the LAPACK path a host without a working compiler falls back to.
+"""
 
 import numpy as np
 import pytest
 
-from repro import kernels
 from repro.core.compiled import compile_model
 from repro.ctmc.batch import banded_structure_of, batch_steady_state
 from repro.exceptions import SolverError
+from repro.kernels import cext
 from repro.models.jsas import PAPER_PARAMETERS
 from repro.models.jsas.system import JsasConfiguration
 
 
-@pytest.fixture
-def restore_backend():
-    previous = kernels.backend_name()
-    yield
-    kernels.set_backend(previous)
+@pytest.fixture(params=["c", "lapack"])
+def banded_path(request, monkeypatch):
+    """Run on the C kernel, then with it faked unavailable (LAPACK).
+
+    The fake lasts for one test only, so the fall-back never leaks.
+    """
+    if request.param == "c":
+        if cext.load() is None:
+            pytest.skip("the C kernel cannot be built on this host")
+    else:
+        monkeypatch.setattr(cext, "load", lambda: None)
+    return request.param
 
 
 def _appserver_columns(n_samples, seed=0):
@@ -40,60 +51,46 @@ def test_appserver_model_is_banded():
     assert banded_structure_of(compile_model(model)) is not None
 
 
-def test_kernel_matches_gth_reference(restore_backend):
+def test_kernel_matches_gth_reference(banded_path):
     model, columns = _appserver_columns(64)
     reference = batch_steady_state(model, columns, 64, method="gth")
-    for backend in kernels.available_backends():
-        kernels.set_backend(backend)
-        pis = batch_steady_state(model, columns, 64, method="banded")
-        assert pis.shape == reference.shape
-        np.testing.assert_allclose(
-            pis, reference, rtol=1e-10, atol=1e-14,
-            err_msg=f"backend {backend}",
-        )
+    pis = batch_steady_state(model, columns, 64, method="banded")
+    assert pis.shape == reference.shape
+    np.testing.assert_allclose(pis, reference, rtol=1e-10, atol=1e-14)
 
 
-def test_batched_solve_is_per_sample_bit_identical(restore_backend):
+def test_batched_solve_is_per_sample_bit_identical(banded_path):
     """Which samples share a batch never changes any sample's bits."""
     model, columns = _appserver_columns(32)
-    for backend in kernels.available_backends():
-        kernels.set_backend(backend)
-        together = batch_steady_state(model, columns, 32, method="banded")
-        for i in (0, 7, 31):
-            alone = batch_steady_state(
-                model,
-                {name: col[i: i + 1] for name, col in columns.items()},
-                1,
-                method="banded",
-            )
-            assert np.array_equal(alone[0], together[i]), (
-                f"backend {backend}, sample {i}"
-            )
+    together = batch_steady_state(model, columns, 32, method="banded")
+    for i in (0, 7, 31):
+        alone = batch_steady_state(
+            model,
+            {name: col[i: i + 1] for name, col in columns.items()},
+            1,
+            method="banded",
+        )
+        assert np.array_equal(alone[0], together[i]), f"sample {i}"
 
 
-def test_numpy_vs_other_backends_close(restore_backend):
+def test_numpy_vs_other_backends_close(monkeypatch):
     model, columns = _appserver_columns(16)
-    kernels.set_backend("numpy")
+    if cext.load() is None:
+        pytest.skip("the C kernel cannot be built on this host")
+    pis = batch_steady_state(model, columns, 16, method="banded")
+    monkeypatch.setattr(cext, "load", lambda: None)
     reference = batch_steady_state(model, columns, 16, method="banded")
-    others = [b for b in kernels.available_backends() if b != "numpy"]
-    if not others:
-        pytest.skip("only the numpy backend is available here")
-    for backend in others:
-        kernels.set_backend(backend)
-        pis = batch_steady_state(model, columns, 16, method="banded")
-        np.testing.assert_allclose(pis, reference, rtol=1e-10, atol=1e-14)
+    np.testing.assert_allclose(pis, reference, rtol=1e-10, atol=1e-14)
 
 
-def test_probabilities_normalized(restore_backend):
+def test_probabilities_normalized(banded_path):
     model, columns = _appserver_columns(20)
-    for backend in kernels.available_backends():
-        kernels.set_backend(backend)
-        pis = batch_steady_state(model, columns, 20, method="banded")
-        assert (pis >= 0.0).all()
-        np.testing.assert_allclose(pis.sum(axis=1), 1.0, rtol=1e-12)
+    pis = batch_steady_state(model, columns, 20, method="banded")
+    assert (pis >= 0.0).all()
+    np.testing.assert_allclose(pis.sum(axis=1), 1.0, rtol=1e-12)
 
 
-def test_reducible_sample_raises_solver_error(restore_backend):
+def test_reducible_sample_raises_solver_error(banded_path):
     # Sample 1 disconnects s2 entirely, leaving two recurrent classes;
     # the kernel must surface the same SolverError the interpreted
     # engine raises, not NaNs.
@@ -113,7 +110,5 @@ def test_reducible_sample_raises_solver_error(restore_backend):
         "c": np.array([1.0, 1.0]),
         "d": np.array([1.0, 0.0]),
     }
-    for backend in kernels.available_backends():
-        kernels.set_backend(backend)
-        with pytest.raises(SolverError, match="recurrent classes"):
-            batch_steady_state(model, columns, 2, method="banded")
+    with pytest.raises(SolverError, match="recurrent classes"):
+        batch_steady_state(model, columns, 2, method="banded")
