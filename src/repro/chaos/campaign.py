@@ -28,23 +28,19 @@ bounds are bit-for-bit reproducible.
 
 from __future__ import annotations
 
-import json
-import pathlib
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro import obs
+from repro.artifacts import SCHEMAS
 from repro.chaos.injector import (
     INJECTION_POINTS,
     POINT_CACHE_CORRUPT,
     ChaosError,
 )
 from repro.estimation.coverage import CoverageEstimate, estimate_coverage
-
-#: Version of the campaign-report JSON layout.
-REPORT_SCHEMA = 1
 
 #: Parameter swept to make every trial's solve request unique.
 TRIAL_PARAMETER = "Tstart_long_as"
@@ -138,7 +134,7 @@ class CampaignReport:
     def deterministic_dict(self) -> Dict[str, Any]:
         """The seed-determined part: same seed -> bit-identical dict."""
         return {
-            "schema": REPORT_SCHEMA,
+            "schema": SCHEMAS["chaos-campaign"],
             "kind": "chaos-campaign",
             "seed": self.seed,
             "confidence": self.confidence,
@@ -150,15 +146,6 @@ class CampaignReport:
                 for point, estimate in sorted(self.by_point.items())
             },
         }
-
-    def write(self, path: Union[str, pathlib.Path]) -> pathlib.Path:
-        """Write the JSON artifact; returns the path."""
-        target = pathlib.Path(path)
-        target.write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        return target
 
 
 class _Oracle:
@@ -194,7 +181,6 @@ def run_campaign(
     seed: int = 2004,
     url: Optional[str] = None,
     confidence: float = 0.95,
-    report_path: Union[str, pathlib.Path, None] = None,
     stall_seconds: float = 0.02,
     timeout: float = 30.0,
 ) -> CampaignReport:
@@ -209,20 +195,17 @@ def run_campaign(
             self-hosts one on a loopback port for the campaign's
             duration.
         confidence: Confidence level for the Eq. 1 coverage bounds.
-        report_path: Optional path for the JSON artifact.
         stall_seconds: Delay used by the ``scheduler.stall`` injections.
         timeout: Client socket timeout per request.
 
     Returns:
-        The :class:`CampaignReport`; also written to ``report_path``
-        when given.
+        The :class:`CampaignReport`.
     """
     if injections < 1:
         raise ChaosError(f"need at least one injection, got {injections}")
     if url is not None:
         return _run_against(
-            url, injections, seed, confidence, report_path,
-            stall_seconds, timeout,
+            url, injections, seed, confidence, stall_seconds, timeout,
         )
     from repro.service.config import ServiceConfig
     from repro.service.server import AvailabilityServer
@@ -230,8 +213,8 @@ def run_campaign(
     config = ServiceConfig(port=0, chaos=True, chaos_seed=seed)
     with AvailabilityServer(config) as server:
         return _run_against(
-            server.url, injections, seed, confidence, report_path,
-            stall_seconds, timeout,
+            server.url, injections, seed, confidence, stall_seconds,
+            timeout,
         )
 
 
@@ -240,7 +223,6 @@ def _run_against(
     injections: int,
     seed: int,
     confidence: float,
-    report_path: Union[str, pathlib.Path, None],
     stall_seconds: float,
     timeout: float,
 ) -> CampaignReport:
@@ -315,8 +297,6 @@ def _run_against(
         coverage_lower=overall.lower,
         fir_upper=overall.fir_upper,
     )
-    if report_path is not None:
-        report.write(report_path)
     return report
 
 

@@ -24,7 +24,6 @@ report.
 
 from __future__ import annotations
 
-import json
 import pathlib
 import random
 import time
@@ -32,10 +31,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Union
 
 from repro import obs
+from repro.artifacts import SCHEMAS
 from repro.chaos.injector import POINT_SHARD_DEATH, ChaosError
-
-#: Version of the drill-report JSON layout.
-REPORT_SCHEMA = 1
 
 #: Parameter swept to make every drill request distinct (same knob the
 #: campaign sweeps, so both harnesses stress the same solve surface).
@@ -88,7 +85,7 @@ class FailoverReport:
         pure function of the drill parameters.
         """
         return {
-            "schema": REPORT_SCHEMA,
+            "schema": SCHEMAS["failover-drill"],
             "kind": "failover-drill",
             "seed": self.seed,
             "n_shards": self.n_shards,
@@ -115,15 +112,6 @@ class FailoverReport:
         if self.measurement is not None:
             document["measurement"] = self.measurement
         return document
-
-    def write(self, path: Union[str, pathlib.Path]) -> pathlib.Path:
-        """Write the JSON artifact; returns the path."""
-        target = pathlib.Path(path)
-        target.write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        return target
 
 
 def _kill_schedule(
@@ -159,7 +147,6 @@ def run_failover_drill(
     requests: int = 32,
     kills: int = 1,
     seed: int = 2004,
-    report_path: Union[str, pathlib.Path, None] = None,
     timeout: float = 30.0,
     readmit_timeout: float = 30.0,
     shard_cache_size: int = 64,
@@ -167,7 +154,6 @@ def run_failover_drill(
     probe_deadline_seconds: float = 10.0,
     min_failures: int = 2,
     trace_dir: Union[str, pathlib.Path, None] = None,
-    measurement_path: Union[str, pathlib.Path, None] = None,
     shard_worker_processes: Optional[int] = None,
 ) -> FailoverReport:
     """Drill shard death under live traffic; zero failures required.
@@ -177,7 +163,6 @@ def run_failover_drill(
         requests: Solve requests in the seeded workload.
         kills: ``shard.death`` injections to schedule.
         seed: Drives victims, kill indices and request parameters.
-        report_path: Optional path for the JSON artifact.
         timeout: Client socket timeout per request.
         readmit_timeout: How long to wait at drill end for every killed
             shard to be respawned and re-admitted to the ring.
@@ -192,15 +177,12 @@ def run_failover_drill(
         trace_dir: Distributed-trace directory: every cluster process
             (this drill process included, labeled ``"router"``) writes
             per-process span files there for ``obs report --cluster``.
-        measurement_path: Optional path for the standalone measurement
-            report JSON (also embedded in the drill report).
         shard_worker_processes: Pre-forked solver workers per shard;
             defaults to 1 when ``trace_dir`` is set (so probe traces
             include worker spans), else 0.
 
     Returns:
-        The :class:`FailoverReport`; also written to ``report_path``
-        when given.
+        The :class:`FailoverReport`.
     """
     if n_shards < 2:
         raise ChaosError(
@@ -376,8 +358,6 @@ def run_failover_drill(
             n_shards=n_shards,
             min_failures=min_failures,
         )
-        if measurement_path is not None:
-            monitor.write_measurement_report(measurement, measurement_path)
     report = FailoverReport(
         seed=seed,
         n_shards=n_shards,
@@ -401,6 +381,4 @@ def run_failover_drill(
     )
     if failures:
         obs.event("chaos.failover.failures", failures=failures)
-    if report_path is not None:
-        report.write(report_path)
     return report

@@ -35,8 +35,10 @@ from typing import List, NoReturn, Optional
 
 import numpy as np
 
+from repro import artifacts
 from repro._version import __version__
 from repro.analysis.report import render_table
+from repro.exceptions import ArtifactError
 from repro.models.jsas import (
     CONFIG_1,
     PAPER_PARAMETERS,
@@ -76,6 +78,16 @@ def _add_json_argument(parser: argparse.ArgumentParser) -> None:
 
 def _reporter(args: argparse.Namespace) -> Reporter:
     return Reporter(json_mode=getattr(args, "json", False))
+
+
+def _write_artifacts(reporter: Reporter, *outputs: tuple) -> None:
+    """Write each ``(path, document, label)`` whose path is set; the
+    "written to" line follows the write, so it never names a file that
+    does not exist."""
+    for path, document, label in outputs:
+        if path:
+            artifacts.write(document, path)
+            reporter.line(f"{label} written to {path}")
 
 
 def _configuration(args: argparse.Namespace) -> JsasConfiguration:
@@ -380,7 +392,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         seed=args.seed,
         url=args.url,
         confidence=args.confidence,
-        report_path=args.report,
         stall_seconds=args.stall_ms / 1000.0,
     )
     reporter.line(
@@ -398,8 +409,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         f"Eq.1 coverage bound at {overall.confidence:.1%}: "
         f"C >= {overall.lower:.4%} (FIR <= {overall.fir_upper:.4%})"
     )
-    if args.report:
-        reporter.line(f"report written to {args.report}")
+    _write_artifacts(reporter, (args.report, report.to_dict(), "report"))
     reporter.record(command="chaos", **report.deterministic_dict())
     reporter.finish()
     return 0 if report.recovered == report.injections else 1
@@ -453,22 +463,20 @@ def _metastable_map_artifact(args: argparse.Namespace):
 
 
 def _cmd_metastable_map(args: argparse.Namespace) -> int:
-    from repro.metastable.regimes import render_regime_map, write_regime_map
+    from repro.metastable.regimes import render_regime_map
 
     reporter = _reporter(args)
     artifact = _metastable_map_artifact(args)
     for line in render_regime_map(artifact):
         reporter.line(line)
-    if args.out:
-        write_regime_map(artifact, args.out)
-        reporter.line(f"regime map written to {args.out}")
+    _write_artifacts(reporter, (args.out, artifact, "regime map"))
     reporter.record(command="metastable-map", **artifact["deterministic"])
     reporter.finish()
     return 0
 
 
 def _cmd_metastable_campaign(args: argparse.Namespace) -> int:
-    from repro.metastable.campaign import run_trigger_campaign, write_campaign
+    from repro.metastable.campaign import run_trigger_campaign
 
     reporter = _reporter(args)
     artifact = run_trigger_campaign(
@@ -488,9 +496,7 @@ def _cmd_metastable_campaign(args: argparse.Namespace) -> int:
             f"({cell['probes_ok']}/"
             f"{cell['probes_ok'] + cell['probes_failed']} probes ok)"
         )
-    if args.out:
-        write_campaign(artifact, args.out)
-        reporter.line(f"campaign artifact written to {args.out}")
+    _write_artifacts(reporter, (args.out, artifact, "campaign artifact"))
     reporter.record(
         command="metastable-campaign", **artifact["deterministic"]
     )
@@ -499,17 +505,17 @@ def _cmd_metastable_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_metastable_validate(args: argparse.Namespace) -> int:
-    from repro.metastable.campaign import load_campaign, run_trigger_campaign
-    from repro.metastable.regimes import load_regime_map
+    from repro.metastable.campaign import CAMPAIGN_KIND, run_trigger_campaign
+    from repro.metastable.regimes import REGIME_MAP_KIND
     from repro.metastable.validate import render_validation, validate_boundary
 
     reporter = _reporter(args)
     if args.map:
-        regime_map = load_regime_map(args.map)
+        regime_map = artifacts.load(args.map, REGIME_MAP_KIND)
     else:
         regime_map = _metastable_map_artifact(args)
     if args.campaign:
-        campaign = load_campaign(args.campaign)
+        campaign = artifacts.load(args.campaign, CAMPAIGN_KIND)
     else:
         campaign = run_trigger_campaign(
             cells=args.cells or (), seed=args.seed
@@ -662,7 +668,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         build_measurement_report,
         render_measurement_report,
         run_probe_campaign,
-        write_measurement_report,
     )
 
     reporter = _reporter(args)
@@ -677,9 +682,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         probes, seed=args.seed, min_failures=args.min_failures
     )
     reporter.line(render_measurement_report(report))
-    if args.report:
-        write_measurement_report(report, args.report)
-        reporter.line(f"measurement report written to {args.report}")
+    _write_artifacts(reporter, (args.report, report, "measurement report"))
     reporter.record(command="monitor", **report["deterministic"])
     reporter.finish()
     return 0 if report["probe_failures"] == 0 else 1
@@ -761,15 +764,19 @@ def _cmd_failover(args: argparse.Namespace) -> int:
     reporter = _reporter(args)
     if args.selfmodel:
         return _cmd_failover_selfmodel(args, reporter)
+    if args.measurement and args.probes <= 0:
+        reporter.line(
+            "error: --measurement requires --probes > 0 "
+            "(a probe-free drill measures nothing)"
+        )
+        return 2
     report = run_failover_drill(
         n_shards=args.shards,
         requests=args.requests,
         kills=args.kills,
         seed=args.seed,
-        report_path=args.report,
         probes=args.probes,
         trace_dir=args.trace_dir,
-        measurement_path=args.measurement,
     )
     reporter.line(
         f"failover drill: {report.succeeded}/{report.requests} requests "
@@ -794,10 +801,11 @@ def _cmd_failover(args: argparse.Namespace) -> int:
             f"{m['deterministic']['shard_episode_count']} shard outage "
             f"episode(s)"
         )
-    if args.report:
-        reporter.line(f"report written to {args.report}")
-    if args.measurement:
-        reporter.line(f"measurement report written to {args.measurement}")
+    _write_artifacts(
+        reporter,
+        (args.report, report.to_dict(), "report"),
+        (args.measurement, report.measurement, "measurement report"),
+    )
     if args.trace_dir:
         reporter.line(
             f"per-process traces in {args.trace_dir} "
@@ -821,9 +829,6 @@ def _cmd_failover_selfmodel(
         seed=args.seed,
         probes=args.probes or 8,
         quorum=args.quorum,
-        report_path=args.report,
-        measurement_path=args.measurement,
-        prediction_path=args.prediction,
         trace_dir=args.trace_dir,
     )
     drill = outcome["drill"]
@@ -834,13 +839,12 @@ def _cmd_failover_selfmodel(
         f"(seed {drill.seed}, {drill.n_shards} shards)"
     )
     reporter.line(render_prediction_report(prediction))
-    for path, label in (
-        (args.report, "drill report"),
-        (args.measurement, "measurement report"),
-        (args.prediction, "prediction report"),
-    ):
-        if path:
-            reporter.line(f"{label} written to {path}")
+    _write_artifacts(
+        reporter,
+        (args.report, drill.to_dict(), "drill report"),
+        (args.measurement, drill.measurement, "measurement report"),
+        (args.prediction, prediction, "prediction report"),
+    )
     reporter.record(
         command="failover-selfmodel", **prediction["deterministic"]
     )
@@ -851,25 +855,22 @@ def _cmd_failover_selfmodel(
 
 def _cmd_selfmodel(args: argparse.Namespace) -> int:
     """Fit / predict / validate against an existing measurement report."""
-    from repro.obs.monitor import load_measurement_report
     from repro.selfmodel import (
         ClusterTopology,
         fit_parameters,
-        load_prediction_report,
         predict_availability,
         render_prediction_report,
         validate_prediction,
-        write_prediction_report,
     )
 
     reporter = _reporter(args)
-    measurement = load_measurement_report(args.measurement)
+    measurement = artifacts.load(args.measurement, "measurement")
     if args.selfmodel_command == "fit":
         fitted = fit_parameters(measurement, confidence=args.confidence)
         reporter.line(fitted.summary())
-        if args.out:
-            fitted.write(args.out)
-            reporter.line(f"fit artifact written to {args.out}")
+        _write_artifacts(
+            reporter, (args.out, fitted.to_dict(), "fit artifact")
+        )
         reporter.finish(command="selfmodel-fit", **fitted.to_dict())
         return 0
 
@@ -886,9 +887,9 @@ def _cmd_selfmodel(args: argparse.Namespace) -> int:
             prediction, measurement, confidence=args.confidence
         )
         reporter.line(render_prediction_report(prediction))
-        if args.out:
-            write_prediction_report(prediction, args.out)
-            reporter.line(f"prediction report written to {args.out}")
+        _write_artifacts(
+            reporter, (args.out, prediction, "prediction report")
+        )
         reporter.record(
             command="selfmodel-predict", **prediction["deterministic"]
         )
@@ -897,7 +898,7 @@ def _cmd_selfmodel(args: argparse.Namespace) -> int:
 
     # validate: against a stored prediction, or fit+predict on the fly.
     if args.prediction:
-        prediction = load_prediction_report(args.prediction)
+        prediction = artifacts.load(args.prediction, "selfmodel-prediction")
     else:
         fitted = fit_parameters(measurement, confidence=args.confidence)
         prediction = predict_availability(
@@ -1364,6 +1365,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         previous = obs.set_recorder(recorder)
     try:
         return args.func(args)
+    except ArtifactError as exc:
+        # Exit 2, not 1: the validate commands exit 1 for "disagree".
+        Reporter(stream=sys.stderr).line(f"error: {exc}")
+        return 2
     except BrokenPipeError:
         # Output was piped into a consumer that closed early (| head).
         # Not an error; exit quietly the way Unix tools do.

@@ -71,5 +71,15 @@ class SelfModelError(ReproError):
     """
 
 
+class ArtifactError(ReproError):
+    """A report artifact could not be loaded.
+
+    Raised by :func:`repro.artifacts.load` for an unreadable file,
+    invalid JSON, a document that is not a JSON object, an unexpected
+    ``"kind"``, or a ``"schema"`` this library neither reads nor can
+    upgrade.  The message names the source.
+    """
+
+
 class ParallelError(ReproError):
     """The shared-memory worker pool failed (worker crash, bad chunking)."""

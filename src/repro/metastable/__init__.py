@@ -13,7 +13,8 @@ under seeded chaos load:
 * :mod:`repro.metastable.regimes` — sweep (offered load × retry
   budget) grids with one batched steady-state solve plus a Fox–Glynn
   transient per cell; classify stable / vulnerable / metastable and
-  emit the schema-versioned regime-map artifact;
+  emit the regime-map artifact (read and written through
+  :mod:`repro.artifacts`);
 * :mod:`repro.metastable.campaign` — drive the real
   :mod:`repro.service` server through a seeded load-spike trigger
   (burst → sustain → release) and let monitor probes decide
@@ -29,14 +30,11 @@ from __future__ import annotations
 
 from repro.metastable.campaign import (
     CAMPAIGN_KIND,
-    CAMPAIGN_SCHEMA,
     DEFAULT_CELLS,
     OUTCOMES,
     CampaignCell,
-    load_campaign,
     parse_cells,
     run_trigger_campaign,
-    write_campaign,
 )
 from repro.metastable.model import (
     ORBIT_PARAMETERS,
@@ -52,15 +50,12 @@ from repro.metastable.model import (
 )
 from repro.metastable.regimes import (
     REGIME_MAP_KIND,
-    REGIME_MAP_SCHEMA,
     REGIMES,
     classify,
     find_cell,
-    load_regime_map,
     map_regimes,
     predicted_outcome,
     render_regime_map,
-    write_regime_map,
 )
 from repro.metastable.validate import (
     VALIDATION_KIND,
@@ -72,21 +67,17 @@ from repro.metastable.validate import (
 
 __all__ = [
     "CAMPAIGN_KIND",
-    "CAMPAIGN_SCHEMA",
     "DEFAULT_CELLS",
     "ORBIT_PARAMETERS",
     "OUTCOMES",
     "REGIMES",
     "REGIME_MAP_KIND",
-    "REGIME_MAP_SCHEMA",
     "VALIDATION_KIND",
     "VALIDATION_SCHEMA",
     "VERDICTS",
     "CampaignCell",
     "classify",
     "find_cell",
-    "load_campaign",
-    "load_regime_map",
     "map_regimes",
     "mm1k_blocking",
     "mm1k_distribution",
@@ -103,6 +94,4 @@ __all__ = [
     "retry_probability",
     "run_trigger_campaign",
     "validate_boundary",
-    "write_campaign",
-    "write_regime_map",
 ]

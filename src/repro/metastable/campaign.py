@@ -39,15 +39,14 @@ for same-seed runs, different across seeds), and the live
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import random
 import threading
 import time
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
+from repro.artifacts import SCHEMAS
 from repro.exceptions import ModelError
 from repro.obs.monitor import ProbeRunner, probe_trace_id
 from repro.service.client import RetryPolicy, ServiceClient
@@ -59,9 +58,6 @@ from repro.service.errors import (
     ServiceUnavailable,
 )
 from repro.service.server import AvailabilityServer
-
-#: Campaign artifact schema version.
-CAMPAIGN_SCHEMA = 1
 
 #: Artifact ``kind`` discriminator.
 CAMPAIGN_KIND = "metastable-campaign"
@@ -366,11 +362,11 @@ def run_trigger_campaign(
         )
 
     artifact = {
-        "schema": CAMPAIGN_SCHEMA,
+        "schema": SCHEMAS[CAMPAIGN_KIND],
         "kind": CAMPAIGN_KIND,
         "seed": seed,
         "deterministic": {
-            "schema": CAMPAIGN_SCHEMA,
+            "schema": SCHEMAS[CAMPAIGN_KIND],
             "kind": CAMPAIGN_KIND,
             "cells": [
                 {"load": cell.load, "budget": cell.budget}
@@ -409,32 +405,4 @@ def run_trigger_campaign(
         "observed": {"cells": observed_cells},
         "timing": {"elapsed_seconds": time.perf_counter() - started},
     }
-    return artifact
-
-
-def write_campaign(
-    artifact: Mapping[str, Any], path: "str | Path"
-) -> Path:
-    """Write the artifact as stable, sorted-key JSON."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(
-        json.dumps(artifact, indent=2, sort_keys=True) + "\n"
-    )
-    return target
-
-
-def load_campaign(path: "str | Path") -> Dict[str, Any]:
-    """Read a campaign artifact back, validating schema and kind."""
-    artifact = json.loads(Path(path).read_text())
-    if artifact.get("kind") != CAMPAIGN_KIND:
-        raise ModelError(
-            f"{path}: expected kind {CAMPAIGN_KIND!r}, "
-            f"got {artifact.get('kind')!r}"
-        )
-    if artifact.get("schema") != CAMPAIGN_SCHEMA:
-        raise ModelError(
-            f"{path}: unsupported campaign schema "
-            f"{artifact.get('schema')!r}"
-        )
     return artifact

@@ -32,13 +32,12 @@ map has no seed at all — same configuration, same bytes.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.artifacts import SCHEMAS
 from repro.ctmc.batch import batch_steady_state
 from repro.ctmc.generator import build_generator
 from repro.ctmc.transient import transient_distribution
@@ -51,9 +50,6 @@ from repro.metastable.model import (
     retry_probability,
 )
 from repro.parallel.pool import parallel_map
-
-#: Regime-map artifact schema version.
-REGIME_MAP_SCHEMA = 1
 
 #: Artifact ``kind`` discriminator.
 REGIME_MAP_KIND = "metastable-regime-map"
@@ -251,10 +247,10 @@ def map_regimes(
 
     elapsed = time.perf_counter() - started
     return {
-        "schema": REGIME_MAP_SCHEMA,
+        "schema": SCHEMAS[REGIME_MAP_KIND],
         "kind": REGIME_MAP_KIND,
         "deterministic": {
-            "schema": REGIME_MAP_SCHEMA,
+            "schema": SCHEMAS[REGIME_MAP_KIND],
             "kind": REGIME_MAP_KIND,
             "model": {
                 "queue_depth": queue_depth,
@@ -331,31 +327,3 @@ def render_regime_map(artifact: Mapping[str, Any]) -> List[str]:
     )
     lines.append(f"trigger boundary: {edge}")
     return lines
-
-
-def write_regime_map(
-    artifact: Mapping[str, Any], path: "str | Path"
-) -> Path:
-    """Write the artifact as stable, sorted-key JSON."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(
-        json.dumps(artifact, indent=2, sort_keys=True) + "\n"
-    )
-    return target
-
-
-def load_regime_map(path: "str | Path") -> Dict[str, Any]:
-    """Read an artifact back, validating schema and kind."""
-    artifact = json.loads(Path(path).read_text())
-    if artifact.get("kind") != REGIME_MAP_KIND:
-        raise ModelError(
-            f"{path}: expected kind {REGIME_MAP_KIND!r}, "
-            f"got {artifact.get('kind')!r}"
-        )
-    if artifact.get("schema") != REGIME_MAP_SCHEMA:
-        raise ModelError(
-            f"{path}: unsupported regime-map schema "
-            f"{artifact.get('schema')!r}"
-        )
-    return artifact

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping
 
+from repro import artifacts
 from repro.exceptions import ModelError
 from repro.metastable.campaign import CAMPAIGN_KIND
 from repro.metastable.regimes import (
@@ -41,16 +42,6 @@ VALIDATION_KIND = "metastable-validation"
 
 #: Possible report verdicts.
 VERDICTS = ("agree", "disagree")
-
-
-def _require_kind(
-    artifact: Mapping[str, Any], kind: str, label: str
-) -> None:
-    if artifact.get("kind") != kind:
-        raise ModelError(
-            f"{label}: expected kind {kind!r}, "
-            f"got {artifact.get('kind')!r}"
-        )
 
 
 def validate_boundary(
@@ -72,12 +63,12 @@ def validate_boundary(
         ``"verdict"`` of ``"agree"`` or ``"disagree"``.
 
     Raises:
-        ModelError: If either artifact has the wrong kind, the
-            campaign observed no cells, or a campaign cell is not on
-            the map's grid.
+        ArtifactError: If either artifact has the wrong kind or schema.
+        ModelError: If the campaign observed no cells, or a campaign
+            cell is not on the map's grid.
     """
-    _require_kind(regime_map, REGIME_MAP_KIND, "regime map")
-    _require_kind(campaign, CAMPAIGN_KIND, "campaign")
+    regime_map = artifacts.load(regime_map, REGIME_MAP_KIND)
+    campaign = artifacts.load(campaign, CAMPAIGN_KIND)
     observed_cells = campaign["observed"]["cells"]
     if not observed_cells:
         raise ModelError("campaign observed no cells; nothing to check")

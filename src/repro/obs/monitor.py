@@ -35,25 +35,17 @@ its kill count while its service-episode count is usually zero.
 
 from __future__ import annotations
 
-import json
-import pathlib
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
+from repro.artifacts import SCHEMAS
 from repro.obs.tracecontext import (
     TraceContext,
     deterministic_trace_id,
     trace_scope,
 )
-
-#: Version of the measurement-report JSON layout.  v2 added the
-#: ``"exposure"`` block (total shard exposure + kill count, the inputs
-#: of :func:`repro.estimation.estimate_failure_rate`) and put
-#: ``kill_count`` in the deterministic block; v1 artifacts load through
-#: :func:`load_measurement_report`.
-MEASUREMENT_SCHEMA = 2
 
 #: Parameter the synthetic probes vary.  Same knob the drills sweep,
 #: but probed at values far outside the drill workload's range
@@ -394,10 +386,10 @@ def build_measurement_report(
         else None
     )
     return {
-        "schema": MEASUREMENT_SCHEMA,
+        "schema": SCHEMAS["measurement"],
         "kind": "measurement",
         "deterministic": {
-            "schema": MEASUREMENT_SCHEMA,
+            "schema": SCHEMAS["measurement"],
             "kind": "measurement",
             "seed": seed,
             "n_shards": n_shards,
@@ -441,73 +433,6 @@ def build_measurement_report(
         "incomplete_shard_episodes": incomplete,
         "recovery_phases": phases,
     }
-
-
-def write_measurement_report(
-    report: Mapping[str, Any], path: Union[str, pathlib.Path]
-) -> pathlib.Path:
-    """Write the report as sorted-keys JSON; returns the path."""
-    target = pathlib.Path(path)
-    target.write_text(
-        json.dumps(dict(report), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    return target
-
-
-def load_measurement_report(
-    source: Union[str, pathlib.Path, Mapping[str, Any]],
-) -> Dict[str, Any]:
-    """Load a measurement report, upgrading v1 artifacts to v2 shape.
-
-    Accepts a path to a JSON artifact or an already-parsed mapping
-    (e.g. the ``measurement`` block embedded in a drill report).  v1
-    reports predate the ``"exposure"`` block: the shim derives it from
-    the campaign duration and the shard-episode count, so consumers
-    (:mod:`repro.selfmodel` above all) can rely on one shape.
-
-    Raises:
-        ValueError: If the document is not a measurement report or its
-            schema is newer than this library understands.
-    """
-    if isinstance(source, Mapping):
-        report: Dict[str, Any] = dict(source)
-    else:
-        report = json.loads(
-            pathlib.Path(source).read_text(encoding="utf-8")
-        )
-    if report.get("kind") != "measurement":
-        raise ValueError(
-            f"not a measurement report: kind={report.get('kind')!r}"
-        )
-    schema = report.get("schema")
-    if schema == MEASUREMENT_SCHEMA:
-        return report
-    if schema == 1:
-        campaign = report.get("campaign", {})
-        campaign_seconds = float(campaign.get("duration_s") or 0.0)
-        n_shards = int(report.get("n_shards") or 0)
-        # v1 had no explicit kill counter; every kill opened a shard
-        # episode, so the episode count is the faithful reconstruction.
-        kill_count = len(report.get("shard_episodes", ())) + len(
-            report.get("incomplete_shard_episodes", ())
-        )
-        report = dict(report)
-        report["schema"] = MEASUREMENT_SCHEMA
-        report["exposure"] = {
-            "campaign_seconds": campaign_seconds,
-            "shard_seconds": campaign_seconds * max(n_shards, 1),
-            "kill_count": kill_count,
-        }
-        deterministic = dict(report.get("deterministic", {}))
-        deterministic.setdefault("kill_count", kill_count)
-        deterministic["schema"] = MEASUREMENT_SCHEMA
-        report["deterministic"] = deterministic
-        return report
-    raise ValueError(
-        f"unsupported measurement report schema {schema!r} "
-        f"(this library reads up to {MEASUREMENT_SCHEMA})"
-    )
 
 
 def render_measurement_report(report: Mapping[str, Any]) -> str:
@@ -566,7 +491,8 @@ class EstimationInputs:
         phases = report.get("recovery_phases", {})
         exposure = report.get("exposure", {})
         if not exposure:
-            # v1 artifact: same derivation the loader shim applies.
+            # v1 artifact: same derivation as the v1 upgrade in
+            # repro.artifacts.
             campaign = report.get("campaign", {})
             seconds = float(campaign.get("duration_s") or 0.0)
             exposure = {

@@ -36,18 +36,13 @@ from repro.selfmodel.model import (
     required_parameters,
 )
 from repro.selfmodel.fit import (
-    FIT_SCHEMA,
     FittedParameters,
     FittedRate,
     fit_parameters,
-    load_fit,
 )
 from repro.selfmodel.predict import (
-    PREDICTION_SCHEMA,
-    load_prediction_report,
     predict_availability,
     render_prediction_report,
-    write_prediction_report,
 )
 from repro.selfmodel.validate import (
     binomial_interval,
@@ -74,16 +69,11 @@ __all__ = [
     "build_top_model",
     "build_worker_pool_model",
     "required_parameters",
-    "FIT_SCHEMA",
     "FittedParameters",
     "FittedRate",
     "fit_parameters",
-    "load_fit",
-    "PREDICTION_SCHEMA",
-    "load_prediction_report",
     "predict_availability",
     "render_prediction_report",
-    "write_prediction_report",
     "binomial_interval",
     "intervals_overlap",
     "validate_prediction",

@@ -31,20 +31,17 @@ block.
 
 from __future__ import annotations
 
-import json
 import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
+from repro import artifacts
 from repro.exceptions import SelfModelError
 from repro.selfmodel.model import (
     CACHE_PARAMETERS,
     SHARD_PARAMETERS,
     WORKER_PARAMETERS,
 )
-
-#: Version of the fit-artifact JSON layout.
-FIT_SCHEMA = 1
 
 SECONDS_PER_HOUR = 3600.0
 
@@ -167,7 +164,7 @@ class FittedParameters:
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "schema": FIT_SCHEMA,
+            "schema": artifacts.SCHEMAS["selfmodel-fit"],
             "kind": "selfmodel-fit",
             "seed": self.seed,
             "n_shards": self.n_shards,
@@ -180,15 +177,8 @@ class FittedParameters:
 
     @classmethod
     def from_dict(cls, document: Mapping[str, Any]) -> "FittedParameters":
-        if document.get("kind") != "selfmodel-fit":
-            raise SelfModelError(
-                f"not a selfmodel fit artifact: kind={document.get('kind')!r}"
-            )
-        if document.get("schema") != FIT_SCHEMA:
-            raise SelfModelError(
-                f"unsupported fit schema {document.get('schema')!r} "
-                f"(this library reads {FIT_SCHEMA})"
-            )
+        """Rebuild from a ``selfmodel-fit`` document checked by
+        :func:`repro.artifacts.load`."""
         return cls(
             seed=int(document.get("seed", 0)),
             n_shards=int(document.get("n_shards", 0)),
@@ -199,14 +189,6 @@ class FittedParameters:
             },
             diagnostics=dict(document.get("diagnostics", {})),
         )
-
-    def write(self, path: Union[str, pathlib.Path]) -> pathlib.Path:
-        target = pathlib.Path(path)
-        target.write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        return target
 
     def summary(self) -> str:
         lines = [
@@ -252,7 +234,8 @@ def fit_parameters(
 
     Args:
         measurement: Path to a measurement report JSON, or the parsed
-            report (v1 artifacts are upgraded by the loader shim).
+            report (read by :func:`repro.artifacts.load`, which
+            upgrades v1 artifacts).
         confidence: Level for every fitted interval.
         include_workers: Also fit the worker-pool tier's rates.  No
             worker deaths are observed in a kill drill, so ``La_worker``
@@ -265,13 +248,15 @@ def fit_parameters(
             exposure when ``include_workers``).
 
     Raises:
+        ArtifactError: When the measurement is not a readable
+            measurement report.
         SelfModelError: When the report lacks the phase samples or
             exposure the shard fit needs.
     """
     from repro.estimation.failure_rate import estimate_failure_rate
-    from repro.obs.monitor import EstimationInputs, load_measurement_report
+    from repro.obs.monitor import EstimationInputs
 
-    report = load_measurement_report(measurement)
+    report = artifacts.load(measurement, "measurement")
     inputs = EstimationInputs.from_report(report)
     if not inputs.detect or not inputs.respawn:
         raise SelfModelError(
@@ -423,17 +408,6 @@ def _diagnostics(
         diagnostics["measured_mttr_seconds"] = mttr
         diagnostics["model_shard_mttr_seconds"] = model_mttr
     return diagnostics
-
-
-def load_fit(
-    source: Union[str, pathlib.Path, Mapping[str, Any]],
-) -> FittedParameters:
-    """Load a fit artifact from a path or parsed mapping."""
-    if isinstance(source, Mapping):
-        return FittedParameters.from_dict(source)
-    return FittedParameters.from_dict(
-        json.loads(pathlib.Path(source).read_text(encoding="utf-8"))
-    )
 
 
 def parameters_for(

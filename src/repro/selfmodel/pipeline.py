@@ -16,10 +16,7 @@ from typing import Any, Dict, Optional, Union
 
 from repro.exceptions import SelfModelError
 from repro.selfmodel.fit import fit_parameters
-from repro.selfmodel.predict import (
-    predict_availability,
-    write_prediction_report,
-)
+from repro.selfmodel.predict import predict_availability
 from repro.selfmodel.topology import ClusterTopology
 from repro.selfmodel.validate import validate_prediction
 
@@ -33,9 +30,6 @@ def run_selfmodel_drill(
     quorum: int = 1,
     confidence: float = 0.95,
     method: str = "auto",
-    report_path: Union[str, pathlib.Path, None] = None,
-    measurement_path: Union[str, pathlib.Path, None] = None,
-    prediction_path: Union[str, pathlib.Path, None] = None,
     trace_dir: Union[str, pathlib.Path, None] = None,
     min_failures: int = 2,
     shard_worker_processes: Optional[int] = None,
@@ -53,9 +47,6 @@ def run_selfmodel_drill(
         confidence: Level for every fitted interval and the measured
             binomial interval.
         method: Steady-state method for the model solves.
-        report_path / measurement_path / prediction_path: Optional
-            artifact paths (drill report, measurement report,
-            prediction report).
         trace_dir: Optional distributed-trace directory for the drill.
         shard_worker_processes: Pre-forked solver workers per shard
             (drill pass-through; also recorded in the topology).
@@ -82,11 +73,9 @@ def run_selfmodel_drill(
         requests=requests,
         kills=kills,
         seed=seed,
-        report_path=report_path,
         probes=probes,
         min_failures=min_failures,
         trace_dir=trace_dir,
-        measurement_path=measurement_path,
         shard_worker_processes=shard_worker_processes,
     )
     measurement = drill.measurement
@@ -111,8 +100,6 @@ def run_selfmodel_drill(
     prediction["validation"] = validate_prediction(
         prediction, measurement, confidence=confidence
     )
-    if prediction_path is not None:
-        write_prediction_report(prediction, prediction_path)
     return {
         "drill": drill,
         "topology": topology,

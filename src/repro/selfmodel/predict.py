@@ -16,12 +16,11 @@ deterministic blocks.
 from __future__ import annotations
 
 import itertools
-import json
-import pathlib
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import Any, Dict, Mapping, Optional
 
 import numpy as np
 
+from repro import artifacts
 from repro.exceptions import SelfModelError
 from repro.selfmodel.fit import FittedParameters, parameters_for
 from repro.selfmodel.model import (
@@ -30,9 +29,6 @@ from repro.selfmodel.model import (
     required_parameters,
 )
 from repro.selfmodel.topology import ClusterTopology
-
-#: Version of the prediction-report JSON layout.
-PREDICTION_SCHEMA = 1
 
 #: Corner sweeps double per interval parameter; cap the blow-up.
 MAX_INTERVAL_PARAMETERS = 12
@@ -62,7 +58,7 @@ def predict_availability(
 
     Returns:
         The schema-versioned prediction report (a plain dict, ready for
-        :func:`write_prediction_report`).
+        :func:`repro.artifacts.write`).
     """
     if include_workers is None:
         include_workers = (
@@ -137,7 +133,7 @@ def predict_availability(
         include_cache=include_cache,
     )
     deterministic: Dict[str, Any] = {
-        "schema": PREDICTION_SCHEMA,
+        "schema": artifacts.SCHEMAS["selfmodel-prediction"],
         "kind": "selfmodel-prediction",
         "seed": fitted.seed,
         "confidence": fitted.confidence,
@@ -164,7 +160,7 @@ def predict_availability(
         }
 
     report: Dict[str, Any] = {
-        "schema": PREDICTION_SCHEMA,
+        "schema": artifacts.SCHEMAS["selfmodel-prediction"],
         "kind": "selfmodel-prediction",
         "deterministic": deterministic,
         "seed": fitted.seed,
@@ -198,41 +194,6 @@ def predict_availability(
             "mttr_seconds": measurement.get("mttr_seconds"),
             "mtbf_seconds": measurement.get("mtbf_seconds"),
         }
-    return report
-
-
-def write_prediction_report(
-    report: Mapping[str, Any], path: Union[str, pathlib.Path]
-) -> pathlib.Path:
-    """Write the report as sorted-keys JSON; returns the path."""
-    target = pathlib.Path(path)
-    target.write_text(
-        json.dumps(dict(report), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    return target
-
-
-def load_prediction_report(
-    source: Union[str, pathlib.Path, Mapping[str, Any]],
-) -> Dict[str, Any]:
-    """Load a prediction report from a path or parsed mapping."""
-    if isinstance(source, Mapping):
-        report: Dict[str, Any] = dict(source)
-    else:
-        report = json.loads(
-            pathlib.Path(source).read_text(encoding="utf-8")
-        )
-    if report.get("kind") != "selfmodel-prediction":
-        raise SelfModelError(
-            f"not a selfmodel prediction report: "
-            f"kind={report.get('kind')!r}"
-        )
-    if report.get("schema") != PREDICTION_SCHEMA:
-        raise SelfModelError(
-            f"unsupported prediction schema {report.get('schema')!r} "
-            f"(this library reads {PREDICTION_SCHEMA})"
-        )
     return report
 
 

@@ -16,6 +16,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 import pathlib
 
+from repro import artifacts
 from repro.exceptions import SelfModelError
 from repro.selfmodel.fit import SECONDS_PER_HOUR
 
@@ -79,8 +80,8 @@ def validate_prediction(
 
     Args:
         prediction: A selfmodel prediction report (parsed).
-        measurement: The measurement report (path or parsed; v1
-            artifacts are upgraded by the loader shim).
+        measurement: The measurement report (path or parsed; read by
+            :func:`repro.artifacts.load`, which upgrades v1 artifacts).
         confidence: Level of the measured-side binomial interval.
 
     Returns:
@@ -88,9 +89,7 @@ def validate_prediction(
         overlap flag, MTTR cross-check, and the ``"verdict"``
         (``"agree"`` / ``"disagree"``).
     """
-    from repro.obs.monitor import load_measurement_report
-
-    report = load_measurement_report(measurement)
+    report = artifacts.load(measurement, "measurement")
     n_probes = int(report.get("n_probes") or 0)
     if n_probes < 1:
         raise SelfModelError(

@@ -14,15 +14,14 @@ off the same engines.
 
 from __future__ import annotations
 
-import json
 import pathlib
 from typing import Any, Dict, Mapping, Optional, Union
 
+from repro import artifacts
 from repro.exceptions import SelfModelError
 from repro.selfmodel.fit import (
     FittedParameters,
     fit_parameters,
-    load_fit,
     parameters_for,
 )
 from repro.selfmodel.model import build_cluster_hierarchy
@@ -94,14 +93,19 @@ class ClusterSelfModel:
           from the fit's shard count (override with ``n_shards``).
         * ``measurement`` — fits on the fly from the raw measurement.
         * ``failover-drill`` — uses the embedded measurement block.
+
+        Raises:
+            ArtifactError: If ``source`` is not a readable artifact of
+                one of these kinds at a schema this library reads.
         """
-        if isinstance(source, Mapping):
-            document: Dict[str, Any] = dict(source)
-        else:
-            document = json.loads(
-                pathlib.Path(source).read_text(encoding="utf-8")
-            )
-        kind = document.get("kind")
+        document = artifacts.load(
+            source,
+            "selfmodel-prediction",
+            "selfmodel-fit",
+            "measurement",
+            "failover-drill",
+        )
+        kind = document["kind"]
         if kind == "selfmodel-prediction":
             topology = ClusterTopology.from_dict(
                 document["deterministic"]["topology"]
@@ -117,7 +121,7 @@ class ClusterSelfModel:
                 diagnostics=dict(document.get("diagnostics", {})),
             )
         elif kind == "selfmodel-fit":
-            fitted = load_fit(document)
+            fitted = FittedParameters.from_dict(document)
             topology = ClusterTopology(
                 n_shards=n_shards or fitted.n_shards or 1,
                 quorum=quorum or 1,
@@ -130,7 +134,7 @@ class ClusterSelfModel:
                 quorum=quorum or 1,
                 source="measurement",
             )
-        elif kind == "failover-drill":
+        else:  # failover-drill
             measurement = document.get("measurement")
             if not measurement:
                 raise SelfModelError(
@@ -142,12 +146,6 @@ class ClusterSelfModel:
                 n_shards=n_shards or int(document.get("n_shards") or 0),
                 quorum=quorum or 1,
                 source="failover-drill",
-            )
-        else:
-            raise SelfModelError(
-                f"unrecognized selfmodel artifact kind {kind!r}; expected "
-                "selfmodel-prediction, selfmodel-fit, measurement, or "
-                "failover-drill"
             )
         if quorum is not None and topology.quorum != quorum:
             topology = ClusterTopology.from_dict(

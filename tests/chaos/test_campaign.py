@@ -6,11 +6,10 @@ fault classified, and the Eq. 1 coverage bound bit-for-bit reproducible
 from the seed.
 """
 
-import json
-
 import pytest
 
-from repro.chaos.campaign import REPORT_SCHEMA, run_campaign
+from repro.artifacts import SCHEMAS
+from repro.chaos.campaign import run_campaign
 from repro.chaos.injector import (
     ALL_INJECTION_POINTS,
     INJECTION_POINTS,
@@ -93,18 +92,15 @@ class TestChaosEndpoints:
 
 
 class TestCampaign:
-    def test_small_campaign_recovers_everything(self, tmp_path):
-        report_path = tmp_path / "report.json"
-        report = run_campaign(
-            injections=12, seed=31, report_path=report_path
-        )
+    def test_small_campaign_recovers_everything(self):
+        report = run_campaign(injections=12, seed=31)
         assert report.injections == 12
         assert report.recovered == 12
         assert len(report.trials) == 12
         assert all(trial.activated for trial in report.trials)
         assert all(trial.detail == "ok" for trial in report.trials)
-        document = json.loads(report_path.read_text())
-        assert document["schema"] == REPORT_SCHEMA
+        document = report.to_dict()
+        assert document["schema"] == SCHEMAS["chaos-campaign"]
         assert document["kind"] == "chaos-campaign"
         assert document["injections"] == 12
         assert len(document["trials"]) == 12

@@ -1,6 +1,5 @@
 """Failover drill: seeded kills, zero failed requests, reproducibility."""
 
-import json
 import random
 
 import pytest
@@ -11,6 +10,7 @@ from repro.chaos.failover import (
     run_failover_drill,
 )
 from repro.chaos.injector import ChaosError
+from repro.cli import main
 
 
 class TestKillSchedule:
@@ -40,6 +40,20 @@ class TestValidation:
         with pytest.raises(ChaosError, match="kills"):
             run_failover_drill(requests=8, kills=5)
 
+    def test_cli_measurement_without_probes_is_usage_error(
+        self, tmp_path, capsys
+    ):
+        # A probe-free drill builds no measurement report, so asking for
+        # one is refused before any cluster boots.
+        out = tmp_path / "m.json"
+        rc = main([
+            "failover", "--shards", "2", "--requests", "4",
+            "--kills", "0", "--measurement", str(out),
+        ])
+        assert rc == 2
+        assert "--probes" in capsys.readouterr().out
+        assert not out.exists()
+
 
 class TestReport:
     def test_deterministic_dict_excludes_timing(self):
@@ -66,20 +80,18 @@ class TestReport:
 
 
 class TestDrill:
-    def test_drill_completes_with_zero_failures(self, tmp_path):
+    def test_drill_completes_with_zero_failures(self):
         """Acceptance: a seeded shard-kill drill finishes with zero
         failed client requests and a fully re-admitted ring."""
-        report_path = tmp_path / "failover.json"
         report = run_failover_drill(
-            n_shards=2, requests=8, kills=1, seed=11,
-            report_path=report_path,
+            n_shards=2, requests=8, kills=1, seed=11
         )
         assert report.failed == 0
         assert report.succeeded == report.requests == 8
         assert report.kills == 1
         assert report.ring_size_after == 2
         assert report.kill_events[0]["respawns"] >= 1
-        artifact = json.loads(report_path.read_text())
+        artifact = report.to_dict()
         assert artifact["kind"] == "failover-drill"
         assert artifact["failed"] == 0
 

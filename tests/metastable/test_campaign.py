@@ -1,22 +1,18 @@
 """Trigger campaign: cell parsing, verdicts, seeds, live artifact."""
 
-import json
-
 import pytest
 
+from repro import artifacts
 from repro.exceptions import ModelError
 from repro.metastable.campaign import (
     CAMPAIGN_KIND,
-    CAMPAIGN_SCHEMA,
     DEFAULT_CELLS,
     OUTCOMES,
     CampaignCell,
     _classify_tail,
     _derived_seed,
-    load_campaign,
     parse_cells,
     run_trigger_campaign,
-    write_campaign,
 )
 
 #: One stable cell with compressed phases: the full burst -> sustain ->
@@ -111,7 +107,7 @@ class TestTailVerdict:
 class TestCampaignArtifact:
     def test_envelope(self, fast_campaign):
         assert fast_campaign["kind"] == CAMPAIGN_KIND
-        assert fast_campaign["schema"] == CAMPAIGN_SCHEMA
+        assert fast_campaign["schema"] == artifacts.SCHEMAS[CAMPAIGN_KIND]
         assert fast_campaign["seed"] == 2004
         assert set(fast_campaign) == {
             "kind", "schema", "seed",
@@ -169,13 +165,5 @@ class TestCampaignArtifact:
 
 class TestCampaignIO:
     def test_write_load_roundtrip(self, fast_campaign, tmp_path):
-        path = write_campaign(fast_campaign, tmp_path / "campaign.json")
-        assert load_campaign(path) == fast_campaign
-
-    def test_wrong_kind_rejected(self, fast_campaign, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(
-            json.dumps({**fast_campaign, "kind": "other"})
-        )
-        with pytest.raises(ModelError):
-            load_campaign(path)
+        path = artifacts.write(fast_campaign, tmp_path / "campaign.json")
+        assert artifacts.load(path, CAMPAIGN_KIND) == fast_campaign

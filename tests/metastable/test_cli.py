@@ -4,18 +4,10 @@ import json
 
 import pytest
 
+from repro import artifacts
 from repro.cli import build_parser, main
-from repro.metastable.campaign import (
-    CAMPAIGN_KIND,
-    CAMPAIGN_SCHEMA,
-    load_campaign,
-    write_campaign,
-)
-from repro.metastable.regimes import (
-    load_regime_map,
-    map_regimes,
-    write_regime_map,
-)
+from repro.metastable.campaign import CAMPAIGN_KIND
+from repro.metastable.regimes import REGIME_MAP_KIND, map_regimes
 
 MAP_FLAGS = ["--loads", "0.3,0.9", "--budgets", "1,6"]
 
@@ -23,7 +15,7 @@ MAP_FLAGS = ["--loads", "0.3,0.9", "--budgets", "1,6"]
 def _campaign_artifact(outcomes):
     return {
         "kind": CAMPAIGN_KIND,
-        "schema": CAMPAIGN_SCHEMA,
+        "schema": artifacts.SCHEMAS[CAMPAIGN_KIND],
         "seed": 2004,
         "observed": {
             "cells": [
@@ -94,7 +86,7 @@ class TestMapCommand:
         stdout = capsys.readouterr().out
         assert "regime map" in stdout
         assert "trigger boundary" in stdout
-        artifact = load_regime_map(out)
+        artifact = artifacts.load(out, REGIME_MAP_KIND)
         assert len(artifact["deterministic"]["cells"]) == 4
 
     def test_json_mode_emits_one_document(self, capsys):
@@ -108,14 +100,14 @@ class TestValidateCommand:
     @pytest.fixture(scope="class")
     def map_file(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("artifacts") / "map.json"
-        write_regime_map(
+        artifacts.write(
             map_regimes(loads=(0.3, 0.9), budgets=(1, 6)), path
         )
         return path
 
     def test_agreement_exits_zero(self, capsys, map_file, tmp_path):
         campaign = tmp_path / "campaign.json"
-        write_campaign(
+        artifacts.write(
             _campaign_artifact(
                 [((0.3, 1), "recovered"), ((0.9, 6), "pinned")]
             ),
@@ -129,7 +121,7 @@ class TestValidateCommand:
 
     def test_disagreement_exits_nonzero(self, capsys, map_file, tmp_path):
         campaign = tmp_path / "campaign.json"
-        write_campaign(
+        artifacts.write(
             _campaign_artifact([((0.9, 6), "recovered")]), campaign
         )
         assert main([
@@ -137,6 +129,21 @@ class TestValidateCommand:
             "--map", str(map_file), "--campaign", str(campaign),
         ]) == 1
         assert "verdict: disagree" in capsys.readouterr().out
+
+    def test_broken_campaign_file_exits_two(
+        self, capsys, map_file, tmp_path
+    ):
+        # A broken input is exit 2, distinct from exit 1 for "disagree".
+        campaign = tmp_path / "campaign.json"
+        campaign.write_text("{not json", encoding="utf-8")
+        assert main([
+            "metastable", "validate",
+            "--map", str(map_file), "--campaign", str(campaign),
+        ]) == 2
+        err = capsys.readouterr().err
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and str(campaign) in line
+        assert "Traceback" not in err
 
 
 class TestCampaignCommand:
@@ -150,6 +157,6 @@ class TestCampaignCommand:
         ]) == 0
         stdout = capsys.readouterr().out
         assert "load=0.3 budget=1 ->" in stdout
-        artifact = load_campaign(out)
+        artifact = artifacts.load(out, CAMPAIGN_KIND)
         (cell,) = artifact["observed"]["cells"]
         assert cell["probes_ok"] + cell["probes_failed"] == 6

@@ -4,19 +4,17 @@ import json
 
 import pytest
 
+from repro import artifacts
 from repro.exceptions import ModelError
 from repro.metastable.regimes import (
     DEFAULT_THRESHOLD,
     REGIME_MAP_KIND,
-    REGIME_MAP_SCHEMA,
     REGIMES,
     classify,
     find_cell,
-    load_regime_map,
     map_regimes,
     predicted_outcome,
     render_regime_map,
-    write_regime_map,
 )
 
 #: A 2x2 corner of the default grid: spans stable and metastable while
@@ -53,7 +51,7 @@ class TestClassify:
 class TestMapRegimes:
     def test_artifact_envelope(self, small_map):
         assert small_map["kind"] == REGIME_MAP_KIND
-        assert small_map["schema"] == REGIME_MAP_SCHEMA
+        assert small_map["schema"] == artifacts.SCHEMAS[REGIME_MAP_KIND]
         det = small_map["deterministic"]
         assert det["kind"] == REGIME_MAP_KIND
         assert set(det) >= {
@@ -148,20 +146,8 @@ class TestRendering:
 
 class TestArtifactIO:
     def test_write_load_roundtrip(self, small_map, tmp_path):
-        path = write_regime_map(small_map, tmp_path / "map.json")
-        assert load_regime_map(path) == small_map
-
-    def test_wrong_kind_rejected(self, small_map, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({**small_map, "kind": "other"}))
-        with pytest.raises(ModelError):
-            load_regime_map(path)
-
-    def test_wrong_schema_rejected(self, small_map, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({**small_map, "schema": 999}))
-        with pytest.raises(ModelError):
-            load_regime_map(path)
+        path = artifacts.write(small_map, tmp_path / "map.json")
+        assert artifacts.load(path, REGIME_MAP_KIND) == small_map
 
 
 class TestDeterminism:

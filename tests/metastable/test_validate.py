@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.exceptions import ModelError
-from repro.metastable.campaign import CAMPAIGN_KIND, CAMPAIGN_SCHEMA
+from repro import artifacts
+from repro.exceptions import ArtifactError, ModelError
+from repro.metastable.campaign import CAMPAIGN_KIND
 from repro.metastable.regimes import map_regimes, predicted_outcome
 from repro.metastable.validate import (
     VALIDATION_KIND,
@@ -22,7 +23,7 @@ def _campaign_with(outcomes):
     """A synthetic campaign artifact observing the given outcomes."""
     return {
         "kind": CAMPAIGN_KIND,
-        "schema": CAMPAIGN_SCHEMA,
+        "schema": artifacts.SCHEMAS[CAMPAIGN_KIND],
         "seed": 2004,
         "observed": {
             "cells": [
@@ -79,12 +80,12 @@ class TestValidateBoundary:
 
     def test_wrong_map_kind_rejected(self, regime_map):
         campaign = _campaign_with([((0.3, 1), "recovered")])
-        with pytest.raises(ModelError, match="kind"):
+        with pytest.raises(ArtifactError, match="kind"):
             validate_boundary({**regime_map, "kind": "x"}, campaign)
 
     def test_wrong_campaign_kind_rejected(self, regime_map):
         campaign = _campaign_with([((0.3, 1), "recovered")])
-        with pytest.raises(ModelError, match="kind"):
+        with pytest.raises(ArtifactError, match="kind"):
             validate_boundary(regime_map, {**campaign, "kind": "x"})
 
 

@@ -4,20 +4,20 @@ import json
 
 import pytest
 
+from repro import artifacts
 from repro.obs.monitor import (
     EstimationInputs,
-    MEASUREMENT_SCHEMA,
     PROBE_PARAMETER,
     build_measurement_report,
     detect_service_episodes,
     join_shard_episodes,
-    load_measurement_report,
     probe_trace_id,
     probe_value,
     recovery_phase_samples,
     render_measurement_report,
-    write_measurement_report,
 )
+
+MEASUREMENT_SCHEMA = artifacts.SCHEMAS["measurement"]
 
 
 def _probe(index, ok=True, t=None, duration=0.01, seed=2004):
@@ -239,7 +239,7 @@ class TestReport:
         report = build_measurement_report(
             [_probe(0)], self._records(), seed=5
         )
-        path = write_measurement_report(report, tmp_path / "m.json")
+        path = artifacts.write(report, tmp_path / "m.json")
         loaded = json.loads(path.read_text(encoding="utf-8"))
         assert loaded["deterministic"] == report["deterministic"]
         text = render_measurement_report(report)
@@ -303,7 +303,7 @@ class TestEstimationBridge:
             _event("cluster.shard.ready", "shard-0", 1.0, generation=2),
         ]
         report = build_measurement_report([_probe(0)], records)
-        path = write_measurement_report(report, tmp_path / "m.json")
+        path = artifacts.write(report, tmp_path / "m.json")
         loaded = json.loads(path.read_text(encoding="utf-8"))
         summaries = EstimationInputs.from_report(loaded).summaries()
         assert summaries["restore"].mean == pytest.approx(1.0)
@@ -372,8 +372,8 @@ class TestLoaderShim:
         report = build_measurement_report(
             [_probe(i) for i in range(3)], self._records(), n_shards=4
         )
-        path = write_measurement_report(report, tmp_path / "m.json")
-        loaded = load_measurement_report(path)
+        path = artifacts.write(report, tmp_path / "m.json")
+        loaded = artifacts.load(path, "measurement")
         assert loaded["schema"] == MEASUREMENT_SCHEMA
         assert loaded["exposure"] == report["exposure"]
 
@@ -391,8 +391,8 @@ class TestLoaderShim:
         del deterministic["kill_count"]
         deterministic["schema"] = 1
         v1["deterministic"] = deterministic
-        path = write_measurement_report(v1, tmp_path / "v1.json")
-        upgraded = load_measurement_report(path)
+        path = artifacts.write(v1, tmp_path / "v1.json")
+        upgraded = artifacts.load(path, "measurement")
         assert upgraded["schema"] == MEASUREMENT_SCHEMA
         exposure = upgraded["exposure"]
         assert exposure["campaign_seconds"] == pytest.approx(
@@ -408,19 +408,9 @@ class TestLoaderShim:
 
     def test_accepts_parsed_mapping(self):
         report = build_measurement_report([_probe(0)], self._records())
-        assert load_measurement_report(report)["schema"] == (
+        assert artifacts.load(report, "measurement")["schema"] == (
             MEASUREMENT_SCHEMA
         )
-
-    def test_rejects_wrong_kind(self):
-        with pytest.raises(ValueError, match="not a measurement report"):
-            load_measurement_report({"kind": "failover-drill"})
-
-    def test_rejects_future_schema(self):
-        with pytest.raises(ValueError, match="unsupported"):
-            load_measurement_report(
-                {"kind": "measurement", "schema": MEASUREMENT_SCHEMA + 1}
-            )
 
     def test_v1_estimation_inputs_fallback(self):
         # EstimationInputs must also cope with a raw (un-upgraded) v1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs.monitor import MEASUREMENT_SCHEMA
+from repro.artifacts import SCHEMAS
 
 
 def synthetic_measurement(
@@ -24,7 +24,7 @@ def synthetic_measurement(
     mttr = sum(restore) / len(restore) if restore else None
     return {
         "kind": "measurement",
-        "schema": MEASUREMENT_SCHEMA,
+        "schema": SCHEMAS["measurement"],
         "seed": seed,
         "n_shards": n_shards,
         "n_probes": n_probes,
@@ -46,7 +46,7 @@ def synthetic_measurement(
             "kill_count": kills,
         },
         "deterministic": {
-            "schema": MEASUREMENT_SCHEMA,
+            "schema": SCHEMAS["measurement"],
             "seed": seed,
             "n_shards": n_shards,
             "n_probes": n_probes,

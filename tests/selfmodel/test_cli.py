@@ -4,12 +4,10 @@ import json
 
 import pytest
 
+from repro import artifacts
 from repro.cli import main
 from repro.selfmodel.fit import fit_parameters
-from repro.selfmodel.predict import (
-    predict_availability,
-    write_prediction_report,
-)
+from repro.selfmodel.predict import predict_availability
 from repro.selfmodel.topology import ClusterTopology
 
 from tests.selfmodel.conftest import synthetic_measurement
@@ -91,7 +89,7 @@ class TestSelfmodelCommands:
             "upper": 0.10,
         }
         stored = tmp_path / "prediction.json"
-        write_prediction_report(prediction, stored)
+        artifacts.write(prediction, stored)
         rc = main(
             [
                 "selfmodel",
@@ -105,6 +103,20 @@ class TestSelfmodelCommands:
         assert rc == 1
         assert "DISAGREE" in capsys.readouterr().out.upper()
 
+    def test_fit_on_non_object_measurement_exits_two(
+        self, tmp_path, capsys
+    ):
+        measurement = tmp_path / "measurement.json"
+        measurement.write_text("[1, 2]", encoding="utf-8")
+        rc = main(
+            ["selfmodel", "fit", "--measurement", str(measurement)]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and str(measurement) in line
+        assert "Traceback" not in err
+
 
 class TestFittedModelPaths:
     @pytest.fixture
@@ -115,7 +127,7 @@ class TestFittedModelPaths:
             ClusterTopology(n_shards=4), fitted, measurement=report
         )
         path = tmp_path / "prediction.json"
-        write_prediction_report(prediction, path)
+        artifacts.write(prediction, path)
         return path
 
     def test_solve_fitted(self, prediction_path, capsys):

@@ -2,12 +2,13 @@
 
 import pytest
 
+from repro import artifacts
 from repro.exceptions import SelfModelError
 from repro.selfmodel.fit import (
     SECONDS_PER_HOUR,
+    FittedParameters,
     FittedRate,
     fit_parameters,
-    load_fit,
     parameters_for,
 )
 
@@ -169,19 +170,13 @@ class TestFitParameters:
 class TestArtifacts:
     def test_fit_roundtrip_through_disk(self, measurement, tmp_path):
         fitted = fit_parameters(measurement)
-        path = fitted.write(tmp_path / "fit.json")
-        loaded = load_fit(path)
+        path = artifacts.write(fitted.to_dict(), tmp_path / "fit.json")
+        loaded = FittedParameters.from_dict(
+            artifacts.load(path, "selfmodel-fit")
+        )
         assert loaded.rates == fitted.rates
         assert loaded.seed == measurement["seed"]
         assert loaded.n_shards == measurement["n_shards"]
-
-    def test_load_rejects_wrong_kind(self):
-        with pytest.raises(SelfModelError, match="not a selfmodel fit"):
-            load_fit({"kind": "measurement"})
-
-    def test_load_rejects_future_schema(self):
-        with pytest.raises(SelfModelError, match="unsupported"):
-            load_fit({"kind": "selfmodel-fit", "schema": 99})
 
     def test_parameters_for_subsets(self, measurement):
         fitted = fit_parameters(

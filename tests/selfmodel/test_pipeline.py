@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import artifacts
 from repro.exceptions import SelfModelError
 from repro.selfmodel.pipeline import run_selfmodel_drill
 
@@ -12,14 +13,11 @@ class TestSelfmodelDrill:
     @pytest.fixture(scope="class")
     def outcome(self, tmp_path_factory):
         tmp_path = tmp_path_factory.mktemp("selfmodel")
-        return run_selfmodel_drill(
-            n_shards=2,
-            requests=8,
-            kills=1,
-            seed=11,
-            probes=4,
-            prediction_path=tmp_path / "prediction.json",
-        ), tmp_path
+        result = run_selfmodel_drill(
+            n_shards=2, requests=8, kills=1, seed=11, probes=4
+        )
+        artifacts.write(result["prediction"], tmp_path / "prediction.json")
+        return result, tmp_path
 
     def test_loop_closes_with_agreement(self, outcome):
         """Acceptance: the measured cluster's fitted model predicts an

@@ -4,14 +4,12 @@ import json
 
 import pytest
 
+from repro import artifacts
 from repro.exceptions import SelfModelError
 from repro.selfmodel.fit import fit_parameters
 from repro.selfmodel.predict import (
-    PREDICTION_SCHEMA,
-    load_prediction_report,
     predict_availability,
     render_prediction_report,
-    write_prediction_report,
 )
 from repro.selfmodel.topology import ClusterTopology
 
@@ -98,22 +96,12 @@ class TestPrediction:
 class TestReportIo:
     def test_write_load_roundtrip(self, topology, fitted, tmp_path):
         report = predict_availability(topology, fitted)
-        path = write_prediction_report(report, tmp_path / "pred.json")
-        loaded = load_prediction_report(path)
-        assert loaded["schema"] == PREDICTION_SCHEMA
+        path = artifacts.write(report, tmp_path / "pred.json")
+        loaded = artifacts.load(path, "selfmodel-prediction")
+        assert loaded["schema"] == artifacts.SCHEMAS["selfmodel-prediction"]
         assert loaded["predicted"]["availability"] == pytest.approx(
             report["predicted"]["availability"]
         )
-
-    def test_load_rejects_wrong_kind(self):
-        with pytest.raises(SelfModelError, match="not a selfmodel"):
-            load_prediction_report({"kind": "measurement"})
-
-    def test_load_rejects_future_schema(self):
-        with pytest.raises(SelfModelError, match="unsupported"):
-            load_prediction_report(
-                {"kind": "selfmodel-prediction", "schema": 99}
-            )
 
     def test_render_mentions_topology_and_band(self, topology, fitted):
         text = render_prediction_report(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import ModelError, SelfModelError
+from repro.exceptions import ArtifactError, ModelError, SelfModelError
 from repro.models.catalog import (
     build_model,
     model_builder_names,
@@ -89,6 +89,7 @@ class TestFromArtifact:
     def test_from_drill_report(self, measurement):
         drill = {
             "kind": "failover-drill",
+            "schema": 1,
             "n_shards": 4,
             "measurement": measurement,
         }
@@ -98,11 +99,11 @@ class TestFromArtifact:
     def test_drill_without_measurement_rejected(self):
         with pytest.raises(SelfModelError, match="measurement block"):
             ClusterSelfModel.from_artifact(
-                {"kind": "failover-drill", "n_shards": 4}
+                {"kind": "failover-drill", "schema": 1, "n_shards": 4}
             )
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(SelfModelError, match="artifact kind"):
+        with pytest.raises(ArtifactError, match="kind"):
             ClusterSelfModel.from_artifact({"kind": "mystery"})
 
     def test_quorum_override(self, measurement):

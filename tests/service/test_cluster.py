@@ -141,16 +141,6 @@ class TestAggregation:
 
 
 class TestHttpEdges:
-    def test_unknown_endpoint_404(self, client):
-        with pytest.raises(ServiceClientError) as excinfo:
-            client._request("/v1/nope", {})
-        assert excinfo.value.status == 404
-
-    def test_get_unknown_404(self, client):
-        with pytest.raises(ServiceClientError) as excinfo:
-            client._request("/nope")
-        assert excinfo.value.status == 404
-
     def test_chaos_disabled_by_default(self, client):
         with pytest.raises(ServiceClientError) as excinfo:
             client.chaos_status()

@@ -21,6 +21,7 @@ from repro.service import (
     ClusterServer,
     HttpConnectionPool,
     ServiceClient,
+    ServiceClientError,
     ServiceConfig,
 )
 
@@ -73,6 +74,18 @@ class TestTransportEdges:
         # 2 MiB against the default 1 MiB limit: the front drains the
         # upload before answering, so the client sees the 413.
         assert _post_status(front.url, b"x" * (2 << 20)) == 413
+
+    def test_unknown_post_404(self, front):
+        with ServiceClient(front.url) as client:
+            with pytest.raises(ServiceClientError) as excinfo:
+                client._request("/v1/nope", {})
+        assert excinfo.value.status == 404
+
+    def test_unknown_get_404(self, front):
+        with ServiceClient(front.url) as client:
+            with pytest.raises(ServiceClientError) as excinfo:
+                client._request("/nope")
+        assert excinfo.value.status == 404
 
 
 def _reset_count(client, router):

@@ -132,16 +132,6 @@ class TestOperationalEndpoints:
         assert "service_batch_size" in text
         assert "# TYPE service_queue_wait_seconds histogram" in text
 
-    def test_unknown_endpoint_404(self, client):
-        with pytest.raises(ServiceClientError) as excinfo:
-            client._request("/v1/nope", {})
-        assert excinfo.value.status == 404
-
-    def test_unknown_get_404(self, client):
-        with pytest.raises(ServiceClientError) as excinfo:
-            client._request("/nope")
-        assert excinfo.value.status == 404
-
 
 class TestValidation:
     def test_unknown_field_400(self, client):
