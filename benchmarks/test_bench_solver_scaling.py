@@ -1,6 +1,6 @@
 """Engine performance: solver scaling with state-space size.
 
-Times the three steady-state solvers on generalized AS cluster models of
+Times the steady-state solvers on generalized AS cluster models of
 growing size (the N-instance chain has 3N-1 states) and on a large GSPN-
 generated chain, demonstrating that the library comfortably covers the
 model sizes hierarchical availability studies produce.
@@ -174,29 +174,11 @@ def test_bench_appserver_model_scaling(benchmark, n_instances):
 @pytest.mark.benchmark(group="solver-scaling")
 @pytest.mark.parametrize("method", ["direct", "gth"])
 def test_bench_solver_methods_medium_chain(benchmark, method):
-    """Direct LU and GTH on the stiff 71-state AS chain (power iteration
-    is excluded here by design: its iteration count scales with the
-    rate stiffness ratio, ~1e8 for the paper's chains — exactly the
-    limitation its docstring warns about)."""
+    """Direct LU and GTH on the stiff 71-state AS chain."""
     model = build_appserver_model(24)
     generator = build_generator(model, VALUES)
 
     pi = benchmark(steady_state_vector, generator, method)
-    assert pi.sum() == pytest.approx(1.0)
-
-
-@pytest.mark.benchmark(group="solver-scaling")
-def test_bench_power_iteration_non_stiff_chain(benchmark):
-    """Power iteration is competitive when rates are within a few orders
-    of magnitude of each other."""
-    from repro.core.model import birth_death_model
-
-    model = birth_death_model(
-        "queue", 50, [1.0] * 49, [2.0] * 49
-    )
-    generator = build_generator(model, {})
-
-    pi = benchmark(steady_state_vector, generator, "power", tol=1e-10)
     assert pi.sum() == pytest.approx(1.0)
 
 

@@ -61,14 +61,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--engine", choices=("scalar", "compiled"), default="compiled",
-        help="solver engine: 'compiled' (vectorized, default) or "
-        "'scalar' (interpreted reference path)",
-    )
-
-
 def _add_json_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--json", action="store_true",
@@ -113,10 +105,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         )
         return 0
     config = _configuration(args)
-    if args.engine == "compiled":
-        result = config.solve_compiled(PAPER_PARAMETERS)
-    else:
-        result = config.solve(PAPER_PARAMETERS)
+    result = config.solve(PAPER_PARAMETERS)
     reporter.line(result.summary())
     reporter.finish(
         command="solve",
@@ -124,7 +113,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             "n_instances": config.n_instances,
             "n_pairs": config.n_pairs,
         },
-        engine=args.engine,
         availability=result.availability,
         yearly_downtime_minutes=result.yearly_downtime_minutes,
         mtbf_hours=result.mtbf_hours,
@@ -175,7 +163,7 @@ def _cmd_table2(args: argparse.Namespace) -> int:
 
 def _cmd_table3(args: argparse.Namespace) -> int:
     reporter = _reporter(args)
-    rows = compare_configurations(engine=args.engine)
+    rows = compare_configurations()
     reporter.line(
         render_table(
             ["# Instances", "# HADB Pairs", "Availability",
@@ -199,14 +187,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if getattr(args, "fitted", None):
         return _cmd_sweep_fitted(args, reporter)
     config = _configuration(args)
-    if args.engine == "compiled":
-        # Batch-capable metric: the whole grid solves as one stacked
-        # (or banded/sparse, for large --n-instances) linear-algebra call.
-        metric = HierarchicalConfigMetric(config, metric="availability")
-    else:
-        def metric(values: dict) -> float:
-            return config.solve(values).availability
-
+    # Batch-capable metric: the whole grid solves as one stacked
+    # (or banded/sparse, for large --n-instances) linear-algebra call.
+    metric = HierarchicalConfigMetric(config, metric="availability")
     start = args.start if args.start is not None else 0.5
     stop = args.stop if args.stop is not None else 3.0
     grid = list(np.linspace(start, stop, args.points))
@@ -230,7 +213,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     reporter.record(
         command="sweep",
         parameter="Tstart_long_as",
-        engine=args.engine,
         configuration={
             "n_instances": config.n_instances,
             "n_pairs": config.n_pairs,
@@ -317,7 +299,6 @@ def _cmd_uncertainty(args: argparse.Namespace) -> int:
         result = analysis.run(
             n_samples=args.samples,
             seed=args.seed,
-            batch=args.engine == "compiled",
             n_jobs=args.jobs,
         )
         reporter.line(
@@ -341,7 +322,6 @@ def _cmd_uncertainty(args: argparse.Namespace) -> int:
     result = analysis.run(
         n_samples=args.samples,
         seed=args.seed,
-        batch=args.engine == "compiled",
         n_jobs=args.jobs,
     )
     reporter.line(result.summary())
@@ -355,7 +335,6 @@ def _cmd_uncertainty(args: argparse.Namespace) -> int:
             "n_instances": config.n_instances,
             "n_pairs": config.n_pairs,
         },
-        engine=args.engine,
         n_samples=args.samples,
         seed=args.seed,
         metric=result.metric_name,
@@ -591,7 +570,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         target,
         PAPER_PARAMETERS,
         max_instances=args.max_instances,
-        engine=args.engine,
     )
     if recommendation.feasible:
         config = recommendation.configuration
@@ -973,7 +951,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve one configuration")
     _add_config_arguments(p)
-    _add_engine_argument(p)
     _add_json_argument(p)
     p.add_argument("--fitted", default=None, metavar="FILE",
                    help="solve the fitted cluster selfmodel from this "
@@ -985,12 +962,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_table2)
 
     p = sub.add_parser("table3", help="reproduce Table 3")
-    _add_engine_argument(p)
     p.set_defaults(func=_cmd_table3)
 
     p = sub.add_parser("sweep", help="Figs. 5/6 Tstart_long sweep")
     _add_config_arguments(p)
-    _add_engine_argument(p)
     _add_json_argument(p)
     p.add_argument("--start", type=float, default=None,
                    help="sweep start (default 0.5; with --fitted, "
@@ -1013,7 +988,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "results are bit-identical for any value "
                         "(default 1)")
     _add_config_arguments(p)
-    _add_engine_argument(p)
     _add_json_argument(p)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=None)
@@ -1062,7 +1036,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="smallest shape for a nines target")
     p.add_argument("--nines", type=float, default=5.0)
     p.add_argument("--max-instances", type=int, default=12)
-    _add_engine_argument(p)
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser(

@@ -7,7 +7,7 @@ The public surface of this package:
   parameter mapping.
 * :func:`~repro.ctmc.steady_state.solve_steady_state` — stationary
   distribution, with selectable algorithm (direct LU, GTH elimination,
-  power iteration).
+  banded GTH).
 * :func:`~repro.ctmc.transient.transient_distribution` — state
   probabilities at time t (uniformization, matrix exponential, or ODE).
 * :func:`~repro.ctmc.absorption.mean_time_to_absorption` and friends.

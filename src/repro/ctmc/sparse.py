@@ -365,19 +365,6 @@ class SparseSteadyStateSolver:
         obs.counter("ctmc_sparse_solves_total", stage=stage).inc()
         return pi
 
-    def solve_gmres(
-        self, rates_row: np.ndarray, tol: float = 1e-10
-    ) -> np.ndarray:
-        """Stationary vector via ILU-preconditioned GMRES only."""
-        a = self._pattern.assemble(rates_row)
-        pi = self._try_gmres(a, tol)
-        if pi is None:
-            raise SolverError(
-                "GMRES steady-state solve did not converge to a "
-                "probability vector"
-            )
-        return pi
-
     def _valid(self, pi: np.ndarray) -> Optional[np.ndarray]:
         pi = np.asarray(pi, dtype=float).ravel()
         if (
@@ -536,16 +523,9 @@ def solve_banded_generator(generator) -> np.ndarray:
         raise SolverError(
             f"model {generator.model_name!r} has no banded-plus-spike "
             f"structure (bandwidth over {MAX_BANDWIDTH} or too few "
-            "states); use method='direct', 'gth' or 'gmres'"
+            "states); use method='direct' or 'gth'"
         )
     return gth_banded_batch(structure, rates[None, :])[0]
-
-
-def solve_gmres_generator(generator, tol: float = 1e-10) -> np.ndarray:
-    """Scalar matrix-free-style GMRES solve of one bound generator."""
-    src, tgt, rates = _generator_coo(generator)
-    solver = SparseSteadyStateSolver(generator.n_states, src, tgt)
-    return solver.solve_gmres(rates, tol=tol)
 
 
 def generator_banded_structure(generator) -> Optional[BandedStructure]:

@@ -1,6 +1,6 @@
 """Steady-state (stationary) distribution solvers.
 
-Three algorithms are provided:
+Two general algorithms are provided:
 
 * ``"direct"`` — replace one balance equation with the normalization
   constraint and solve the dense/sparse linear system with LU.  Fast and
@@ -10,18 +10,14 @@ Three algorithms are provided:
   rates span many orders of magnitude (availability models routinely mix
   per-year failure rates with per-minute repair rates — eight orders of
   magnitude in this paper's models).
-* ``"power"`` — power iteration on the uniformized DTMC; mostly useful as
-  an independent cross-check and for very large sparse chains.
 
-Two structure-exploiting methods (see :mod:`repro.ctmc.sparse`) extend
+A structure-exploiting method (see :mod:`repro.ctmc.sparse`) extends
 the reach to large state spaces:
 
 * ``"banded"`` — subtraction-free GTH elimination restricted to the
   generator's band plus the column-0 repair spike; O(n b^2) instead of
   O(n^3).  Only valid for banded-plus-spike chains (the generalized
   N-instance AS model, birth-death chains).
-* ``"gmres"`` — ILU-preconditioned GMRES on the sparse augmented
-  system; the iterative fallback for large unstructured chains.
 
 ``"auto"`` picks for you: banded when the structure is detected on a
 large enough chain, otherwise direct.  All methods agree to tight
@@ -45,32 +41,24 @@ from repro.ctmc.sparse import (
     BANDED_MIN_STATES,
     generator_banded_structure,
     solve_banded_generator,
-    solve_gmres_generator,
 )
 from repro.ctmc.structure import classify_states
 from repro.exceptions import SolverError, StructureError
 
-Method = str  # "direct" | "gth" | "power" | "banded" | "gmres" | "auto"
-
-_DEFAULT_TOL = 1e-12
+Method = str  # "direct" | "gth" | "banded" | "auto"
 
 
 def steady_state_vector(
     generator: GeneratorMatrix,
     method: Method = "direct",
-    tol: float = _DEFAULT_TOL,
-    max_iterations: int = 200_000,
     check_structure: bool = True,
 ) -> np.ndarray:
     """Solve ``pi Q = 0``, ``sum(pi) = 1`` for an irreducible generator.
 
     Args:
         generator: The bound generator matrix.
-        method: One of ``"direct"``, ``"gth"``, ``"power"``, ``"banded"``,
-            ``"gmres"`` or ``"auto"``.
-        tol: Residual tolerance (used by the iterative method and the
-            final sanity check).
-        max_iterations: Iteration cap for ``"power"``.
+        method: One of ``"direct"``, ``"gth"``, ``"banded"`` or
+            ``"auto"``.
         check_structure: Verify the chain has a single recurrent class
             covering all states before solving.  Disable only when the
             caller has already checked.
@@ -106,11 +94,7 @@ def steady_state_vector(
                 return pi
             block = generator.restricted(recurrent)
             block_pi = steady_state_vector(
-                block,
-                method=method,
-                tol=tol,
-                max_iterations=max_iterations,
-                check_structure=False,
+                block, method=method, check_structure=False
             )
             pi = np.zeros(generator.n_states)
             for name, mass in zip(recurrent, block_pi):
@@ -135,16 +119,12 @@ def steady_state_vector(
         pi = _solve_direct(generator)
     elif method == "gth":
         pi = _solve_gth(generator)
-    elif method == "power":
-        pi = _solve_power(generator, tol=tol, max_iterations=max_iterations)
     elif method == "banded":
         pi = solve_banded_generator(generator)
-    elif method == "gmres":
-        pi = solve_gmres_generator(generator, tol=max(tol, 1e-12))
     else:
         raise SolverError(
             f"unknown steady-state method {method!r}; "
-            "expected 'direct', 'gth', 'power', 'banded', 'gmres' or 'auto'"
+            "expected 'direct', 'gth', 'banded' or 'auto'"
         )
     _check_probability_vector(pi, generator, tol=1e-8)
     return pi
@@ -228,36 +208,6 @@ def _gth_reference(q: np.ndarray) -> np.ndarray:
         pi[k] = float(np.dot(pi[:k], a[:k, k]))
     pi /= pi.sum()
     return pi
-
-
-def _solve_power(
-    generator: GeneratorMatrix, tol: float, max_iterations: int
-) -> np.ndarray:
-    """Power iteration on the uniformized DTMC ``P = I + Q/Lambda``."""
-    exit_rates = generator.exit_rates()
-    lam = float(exit_rates.max()) * 1.05
-    if lam <= 0.0:
-        raise SolverError("generator has no transitions; chain is degenerate")
-    n = generator.n_states
-    if generator.is_sparse:
-        p = sp.identity(n, format="csr") + generator.matrix / lam
-    else:
-        p = np.eye(n) + generator.dense() / lam
-    pi = np.full(n, 1.0 / n)
-    for _ in range(max_iterations):
-        if generator.is_sparse:
-            nxt = np.asarray(pi @ p).ravel()
-        else:
-            nxt = pi @ p
-        nxt /= nxt.sum()
-        if np.abs(nxt - pi).max() < tol:
-            return nxt
-        pi = nxt
-    raise SolverError(
-        f"power iteration did not converge within {max_iterations} "
-        f"iterations (model {generator.model_name!r}); the chain may be "
-        "periodic after uniformization or extremely stiff — use 'gth'"
-    )
 
 
 def _check_probability_vector(

@@ -207,26 +207,9 @@ class HierarchicalModel:
         with obs.span(
             "hierarchy.solve", model=self.top.name, method=method
         ):
-            interfaces: Dict[str, SubmodelInterface] = {}
-            for key, model in self._submodels.items():
-                with obs.span("hierarchy.submodel", submodel=key):
-                    interfaces[key] = abstract_submodel(
-                        model,
-                        values,
-                        method=method,
-                        name=key,
-                        abstraction=abstraction,
-                    )
-            bound = resolve_bindings(self._bindings, interfaces)
-            top_values = dict(values)
-            overlap = set(bound) & set(top_values)
-            if overlap:
-                raise ModelError(
-                    f"bound parameter(s) {sorted(overlap)} also appear in "
-                    "the supplied values; remove them from one side to "
-                    "avoid ambiguity"
-                )
-            top_values.update(bound)
+            interfaces, bound, top_values = self._abstract_submodels(
+                values, method, abstraction
+            )
             with obs.span("hierarchy.top", model=self.top.name):
                 system = steady_state_availability(
                     self.top,
@@ -307,15 +290,27 @@ class HierarchicalModel:
         """
         from repro.ctmc.transient import interval_availability
 
+        _, _, top_values = self._abstract_submodels(
+            values, method, abstraction
+        )
+        return interval_availability(self.top, t, top_values)
+
+    def _abstract_submodels(
+        self, values: Mapping[str, float], method: str, abstraction: str
+    ) -> Tuple[Dict[str, SubmodelInterface], Dict[str, float], Dict]:
+        """Submodel interfaces, bound parameters and top-model values."""
         interfaces: Dict[str, SubmodelInterface] = {}
         for key, model in self._submodels.items():
-            interfaces[key] = abstract_submodel(
-                model, values, method=method, name=key, abstraction=abstraction
-            )
+            with obs.span("hierarchy.submodel", submodel=key):
+                interfaces[key] = abstract_submodel(
+                    model,
+                    values,
+                    method=method,
+                    name=key,
+                    abstraction=abstraction,
+                )
         bound = resolve_bindings(self._bindings, interfaces)
-        top_values = dict(values)
-        top_values.update(bound)
-        return interval_availability(self.top, t, top_values)
+        return interfaces, bound, _with_bound(values, bound)
 
 
 class CompiledHierarchy:
@@ -397,15 +392,7 @@ class CompiledHierarchy:
                 else:
                     output = 1.0 - interface.availability
                 bound[parameter] = output * binding.scale
-            overlap = set(bound) & set(values.keys())
-            if overlap:
-                raise ModelError(
-                    f"bound parameter(s) {sorted(overlap)} also appear in "
-                    "the supplied values; remove them from one side to "
-                    "avoid ambiguity"
-                )
-            top_values: Dict[str, ColumnLike] = dict(values)
-            top_values.update(bound)
+            top_values = _with_bound(values, bound)
             with obs.span("hierarchy.top", model=self.top.model_name):
                 system = batch_availability(
                     self.top,
@@ -420,6 +407,20 @@ class CompiledHierarchy:
             bound_parameters=bound,
             attributions=dict(self._attributions),
         )
+
+
+def _with_bound(values: Mapping, bound: Mapping) -> Dict:
+    """``values`` plus ``bound``; a name in both is a :class:`ModelError`."""
+    top_values = dict(values)
+    overlap = set(bound) & set(top_values)
+    if overlap:
+        raise ModelError(
+            f"bound parameter(s) {sorted(overlap)} also appear in "
+            "the supplied values; remove them from one side to "
+            "avoid ambiguity"
+        )
+    top_values.update(bound)
+    return top_values
 
 
 #: Metrics a batch solution can expose as plain arrays.

@@ -62,12 +62,12 @@ class ConfigurationComparison:
 class HierarchicalConfigMetric:
     """A batch-capable metric over one JSAS configuration.
 
-    Instances are plain callables (``metric(params) -> float``, solving
-    the hierarchy once per call) and additionally expose
+    Instances are plain callables (``metric(params) -> float``, one
+    ``config.solve`` per call) and additionally expose
     :meth:`evaluate_batch`, which the drivers in
     :mod:`repro.uncertainty.analysis` and
-    :mod:`repro.sensitivity.parametric` detect to route whole sample
-    batches through the compiled engine.  Both paths produce
+    :mod:`repro.sensitivity.parametric` detect to solve whole sample
+    batches in one ``config.solve_batch`` call.  Both paths produce
     bit-identical values for ``method="direct"`` solves.
     """
 
@@ -116,36 +116,21 @@ def compare_configurations(
     configurations: Sequence[Tuple[int, int]] = TABLE3_CONFIGURATIONS,
     values: Optional[Mapping[str, float]] = None,
     abstraction: str = "mttf",
-    engine: str = "compiled",
     method: str = "auto",
 ) -> List[ConfigurationComparison]:
     """Solve each configuration and collect the Table 3 metrics.
 
     Args:
-        engine: ``"compiled"`` (default) solves through the cached
-            compiled hierarchies; ``"scalar"`` rebuilds and solves each
-            model the interpreted way.  Both produce identical rows.
         method: Steady-state method; the default ``"auto"`` picks the
             structured banded solver for large-N AS submodels, so a
             configuration sweep can include ``n_instances`` in the
             hundreds without falling off the dense-solver cliff.
     """
-    if engine not in ("compiled", "scalar"):
-        raise EstimationError(
-            f"unknown engine {engine!r}; expected 'compiled' or 'scalar'"
-        )
     values = dict(values) if values is not None else PAPER_PARAMETERS.to_dict()
     rows: List[ConfigurationComparison] = []
     for n_instances, n_pairs in configurations:
         config = JsasConfiguration(n_instances=n_instances, n_pairs=n_pairs)
-        if engine == "compiled":
-            result = config.solve_compiled(
-                values, method=method, abstraction=abstraction
-            )
-        else:
-            result = config.solve(
-                values, method=method, abstraction=abstraction
-            )
+        result = config.solve(values, method=method, abstraction=abstraction)
         rows.append(
             ConfigurationComparison(
                 n_instances=n_instances,

@@ -45,7 +45,6 @@ def plan_configuration(
     max_instances: int = 12,
     pair_choices: Optional[Sequence[int]] = None,
     require_redundancy: bool = True,
-    engine: str = "compiled",
     method: str = "auto",
 ) -> PlannerRecommendation:
     """Find the smallest deployment meeting an availability target.
@@ -64,9 +63,6 @@ def plan_configuration(
             smaller half-count option.
         require_redundancy: Skip single-instance shapes (no failover),
             which can never be HA anyway.
-        engine: ``"compiled"`` (default) solves candidates through the
-            cached compiled hierarchies; ``"scalar"`` rebuilds each model
-            per solve.  Identical answers either way.
         method: Steady-state method passed to each candidate solve.
     """
     if not 0.0 < target_availability < 1.0:
@@ -75,10 +71,6 @@ def plan_configuration(
         )
     if max_instances < 1:
         raise ReproError(f"max_instances must be >= 1, got {max_instances}")
-    if engine not in ("compiled", "scalar"):
-        raise ReproError(
-            f"unknown engine {engine!r}; expected 'compiled' or 'scalar'"
-        )
     values = dict(values) if values is not None else PAPER_PARAMETERS.to_dict()
 
     candidates = []
@@ -104,11 +96,7 @@ def plan_configuration(
     best_seen: Optional[Tuple[float, JsasConfiguration]] = None
     evaluated = 0
     for configuration in candidates:
-        if engine == "compiled":
-            result = configuration.solve_compiled(values, method=method)
-        else:
-            result = configuration.solve(values, method=method)
-        availability = result.availability
+        availability = configuration.solve(values, method=method).availability
         evaluated += 1
         if best_seen is None or availability > best_seen[0]:
             best_seen = (availability, configuration)

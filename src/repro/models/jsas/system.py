@@ -185,38 +185,21 @@ class JsasConfiguration:
         or any mapping providing the same names.  ``N_pair`` is supplied
         automatically from the configuration.
 
-        The default ``method="auto"`` is identical to ``"direct"`` for
-        the paper-sized shapes and switches the AS submodel to the O(n)
-        banded solver once ``n_instances`` makes it large.
+        This is a one-sample :meth:`solve_batch` on the cached compiled
+        hierarchy, so repeated solves of one shape (Table 3, the planner,
+        sweeps) build, validate and compile the models once.  With
+        ``method="direct"``, and with the default ``"auto"`` on every
+        Table 3 shape, the result is bit-identical to the scalar
+        composer: :meth:`~repro.hierarchy.HierarchicalModel.solve` of
+        :meth:`build_hierarchy` on :meth:`merged_values`.  ``"auto"``
+        moves large AS submodels to the banded GTH solver.
         """
-        with obs.span("jsas.solve", config=self.name, method=method):
-            return self.build_hierarchy().solve(
-                self.merged_values(values),
-                method=method,
-                abstraction=abstraction,
-            )
-
-    def solve_compiled(
-        self,
-        values: Mapping[str, float],
-        method: str = "auto",
-        abstraction: str = "mttf",
-    ) -> HierarchicalResult:
-        """Like :meth:`solve`, through the compiled engine.
-
-        Returns the identical :class:`HierarchicalResult` (bit-for-bit
-        with ``method="direct"``) but amortizes model construction,
-        validation and rate compilation across calls — the Table 3
-        comparison re-solves each configuration shape many times.
-        """
-        merged = {
-            name: float(value)
-            for name, value in self.merged_values(values).items()
-        }
-        solution = self.hierarchy().solve_batch(
-            merged, n_samples=1, method=method, abstraction=abstraction
-        )
-        return solution.result_at(0)
+        return self.solve_batch(
+            {name: float(value) for name, value in values.items()},
+            n_samples=1,
+            method=method,
+            abstraction=abstraction,
+        ).result_at(0)
 
     def solve_batch(
         self,

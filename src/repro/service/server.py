@@ -583,9 +583,7 @@ class AvailabilityService:
                     abstraction=abstraction,
                     method=method,
                 )
-                result = analysis.run(
-                    n_samples=samples, seed=seed, batch=True
-                )
+                result = analysis.run(n_samples=samples, seed=seed)
                 return {
                     "schema": RESPONSE_SCHEMA,
                     "kind": "uncertainty",

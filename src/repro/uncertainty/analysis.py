@@ -68,11 +68,7 @@ class UncertaintyAnalysis:
                 f"unknown sampler {sampler!r}; expected 'monte_carlo' or "
                 "'latin_hypercube'"
             )
-        overlap_missing = set(distributions) - set(base_values)
-        # Varied parameters need not pre-exist in base_values; they are
-        # simply overlaid.  (No validation error — a metric closure may
-        # accept extra keys.)
-        del overlap_missing
+        # Varied parameters need not pre-exist in base_values.
         self.metric = metric
         self.metric_name = metric_name
         self.distributions = dict(distributions)
@@ -84,10 +80,12 @@ class UncertaintyAnalysis:
         n_samples: int = 1000,
         seed: Optional[int] = None,
         keep_snapshots: bool = True,
-        batch: Optional[bool] = None,
         n_jobs: Optional[int] = 1,
     ) -> UncertaintyResult:
         """Sample, solve, and summarize.
+
+        A metric with ``evaluate_batch`` solves all snapshots in one
+        batched call; a plain callable is called once per snapshot.
 
         Args:
             n_samples: Number of parameter snapshots (the paper uses 1000).
@@ -95,13 +93,6 @@ class UncertaintyAnalysis:
             keep_snapshots: Store the sampled parameter dicts in the
                 result (needed for scatter plots and importance
                 post-processing; disable to save memory on huge runs).
-            batch: Execution path.  ``None`` (default) uses the batched
-                engine whenever the metric exposes ``evaluate_batch``
-                (see :mod:`repro.core.compiled`); ``True`` requires it;
-                ``False`` forces the per-snapshot callable path.  A
-                seeded run returns byte-identical results either way —
-                both paths draw the same samples and the batched solvers
-                reproduce the scalar arithmetic exactly.
             n_jobs: Worker processes for the solve stage (``None`` = one
                 per CPU).  Sampling always happens up front in the
                 parent, and the solve fan-out runs through
@@ -109,14 +100,7 @@ class UncertaintyAnalysis:
                 boundaries, so a seeded run is bit-identical for every
                 ``n_jobs`` value.
         """
-        batch_capable = callable(getattr(self.metric, "evaluate_batch", None))
-        if batch is True and not batch_capable:
-            raise EstimationError(
-                "batch=True requires a metric with an evaluate_batch "
-                "method; see repro.models.jsas.configs."
-                "HierarchicalConfigMetric for the protocol"
-            )
-        use_batch = batch_capable if batch is None else bool(batch)
+        use_batch = callable(getattr(self.metric, "evaluate_batch", None))
         jobs = parallel.resolve_jobs(n_jobs)
         with obs.span(
             "uncertainty.run",

@@ -260,12 +260,6 @@ class TestDispatchAndDiagnostics:
         # Dense methods keep their bit-parity contract at this size.
         assert _resolve_engine(compiled, "direct") == "direct"
 
-    def test_gmres_method_on_as_model(self):
-        generator = build_generator(build_appserver_model(16), paper_values())
-        gmres = steady_state_vector(generator, method="gmres")
-        direct = steady_state_vector(generator, method="direct")
-        assert np.abs(gmres - direct).max() < 1e-9
-
 
 def _arc_arrays(model):
     compiled = compile_model(model)

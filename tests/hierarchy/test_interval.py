@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.exceptions import ModelError
 from repro.models.jsas import CONFIG_1, PAPER_PARAMETERS
 
 
@@ -55,3 +56,14 @@ class TestHierarchicalIntervalAvailability:
         # But the warm-up effect is negligible at yearly scale: well
         # within 1% of the budget (MTTR is hours, the year is 8766 h).
         assert first_year_minutes > 0.99 * steady_minutes
+
+    def test_supplied_value_colliding_with_binding_rejected(
+        self, hierarchy, values
+    ):
+        """The same ambiguity ``solve`` rejects: a caller's La_appl and
+        the AS submodel's bound one."""
+        colliding = dict(values, La_appl=123.0)
+        with pytest.raises(ModelError, match="also appear"):
+            hierarchy.solve(colliding)
+        with pytest.raises(ModelError, match="also appear"):
+            hierarchy.interval_availability(colliding, t=100.0)

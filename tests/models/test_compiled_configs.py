@@ -1,8 +1,8 @@
-"""Compiled JSAS configuration solves vs. the scalar engine."""
+"""Compiled JSAS configuration solves vs. the scalar composer."""
 
 import pytest
 
-from repro.exceptions import EstimationError
+from repro.hierarchy.interface import abstract_submodel
 from repro.models.jsas.configs import (
     TABLE3_CONFIGURATIONS,
     compare_configurations,
@@ -12,22 +12,59 @@ from repro.models.jsas.parameters import PAPER_PARAMETERS
 from repro.models.jsas.system import JsasConfiguration
 
 
+def _scalar_solve(config, values, **kwargs):
+    """The scalar composer on a fresh hierarchy: the reference engine."""
+    return config.build_hierarchy().solve(
+        config.merged_values(values), **kwargs
+    )
+
+
 @pytest.mark.parametrize("shape", TABLE3_CONFIGURATIONS, ids=str)
 def test_solve_compiled_matches_solve(shape):
     """Every Table 3 shape — including the HADB-less (1, 0) baseline."""
     n_instances, n_pairs = shape
     config = JsasConfiguration(n_instances=n_instances, n_pairs=n_pairs)
     values = PAPER_PARAMETERS.to_dict()
-    scalar = config.solve(values)
-    compiled = config.solve_compiled(values)
+    scalar = _scalar_solve(config, values)
+    compiled = config.solve(values)
     assert compiled.system == scalar.system
     assert compiled.bound_parameters == scalar.bound_parameters
     assert compiled.submodels == scalar.submodels
 
 
+@pytest.mark.parametrize("n_instances", [11, 12])
+def test_large_parallel_repair_shape_solves(n_instances):
+    """Direct LU loses these AS submodels' down mass (``Mu_appl`` comes
+    out infinite and the scalar ``auto`` solve raises); the banded GTH
+    solve that batch ``auto`` picks at 32+ states answers like GTH."""
+    config = JsasConfiguration(n_instances, 2, repair_policy="parallel")
+    result = config.solve(PAPER_PARAMETERS)
+    reference = _scalar_solve(config, PAPER_PARAMETERS, method="gth")
+    assert result.availability == pytest.approx(
+        reference.availability, rel=1e-15
+    )
+    expected = abstract_submodel(
+        config.build_appserver_submodel(),
+        config.merged_values(PAPER_PARAMETERS),
+        method="gth",
+    )
+    interface = result.submodels["appserver"].interface
+    # C GTH lands within 4.3e-16 of it, LAPACK band-LU within 1.9e-15.
+    assert interface.failure_rate == pytest.approx(
+        expected.failure_rate, rel=1e-14
+    )
+    assert interface.recovery_rate == pytest.approx(
+        expected.recovery_rate, rel=1e-14
+    )
+
+
 def test_compare_configurations_engines_agree():
     rows_compiled = compare_configurations()
-    rows_scalar = compare_configurations(engine="scalar")
+    values = PAPER_PARAMETERS.to_dict()
+    rows_scalar = [
+        _scalar_solve(JsasConfiguration(*shape), values)
+        for shape in TABLE3_CONFIGURATIONS
+    ]
     assert len(rows_compiled) == len(rows_scalar)
     for compiled, scalar in zip(rows_compiled, rows_scalar):
         assert compiled.availability == scalar.availability
@@ -37,11 +74,6 @@ def test_compare_configurations_engines_agree():
         assert compiled.mtbf_hours == scalar.mtbf_hours
     # The paper's conclusion survives either engine: 4 AS + 4 pairs wins.
     assert optimal_configuration(rows_compiled).n_instances == 4
-
-
-def test_unknown_engine_rejected():
-    with pytest.raises(EstimationError, match="unknown engine"):
-        compare_configurations(engine="quantum")
 
 
 def test_hierarchy_cache_shared_between_equal_shapes():
@@ -66,4 +98,4 @@ def test_solve_batch_on_configuration():
     for s in range(n):
         values = dict(base)
         values[first] = float(columns[first][s])
-        assert solution.result_at(s) == config.solve(values)
+        assert solution.result_at(s) == _scalar_solve(config, values)

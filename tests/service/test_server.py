@@ -100,7 +100,7 @@ class TestSolveParity:
 
         response = client.uncertainty(samples=64, seed=2004)
         direct = build_uncertainty_analysis(CONFIG_1).run(
-            n_samples=64, seed=2004, batch=True
+            n_samples=64, seed=2004
         )
         assert response["mean"] == direct.mean
         assert response["std"] == direct.std

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import EstimationError
 from repro.models.jsas.configs import (
     HierarchicalConfigMetric,
     build_uncertainty_analysis,
@@ -17,6 +16,7 @@ from repro.uncertainty import (
     monte_carlo_matrix,
     monte_carlo_samples,
 )
+from tests.uncertainty.conftest import scalar_reference
 
 
 @pytest.mark.parametrize("sampler", ["monte_carlo", "latin_hypercube"])
@@ -24,36 +24,29 @@ def test_fast_path_byte_identical_to_fallback(sampler):
     analysis = build_uncertainty_analysis(CONFIG_1)
     analysis.sampler = sampler
     fast = analysis.run(n_samples=40, seed=2004)
-    slow = analysis.run(n_samples=40, seed=2004, batch=False)
+    slow = scalar_reference(analysis).run(n_samples=40, seed=2004)
     assert fast.values == slow.values
     assert fast.snapshots == slow.snapshots
     assert fast.metric_name == slow.metric_name
 
 
-def test_explicit_batch_true_uses_fast_path():
-    analysis = build_uncertainty_analysis(CONFIG_1)
-    forced = analysis.run(n_samples=10, seed=1, batch=True)
-    auto = analysis.run(n_samples=10, seed=1)
-    assert forced.values == auto.values
-
-
 def test_batch_true_requires_capable_metric():
+    """A plain callable (no ``evaluate_batch``) runs once per snapshot."""
     analysis = UncertaintyAnalysis(
         metric=lambda p: p["x"],
         distributions={"x": Uniform(0.0, 1.0)},
         base_values={},
     )
-    with pytest.raises(EstimationError, match="evaluate_batch"):
-        analysis.run(n_samples=5, seed=0, batch=True)
-    # Plain callables still work through the fallback automatically.
     result = analysis.run(n_samples=5, seed=0)
-    assert len(result.values) == 5
+    assert result.values == tuple(s["x"] for s in result.snapshots)
 
 
 def test_keep_snapshots_false_returns_no_snapshots_both_paths():
     analysis = build_uncertainty_analysis(CONFIG_1)
     fast = analysis.run(n_samples=6, seed=3, keep_snapshots=False)
-    slow = analysis.run(n_samples=6, seed=3, keep_snapshots=False, batch=False)
+    slow = scalar_reference(analysis).run(
+        n_samples=6, seed=3, keep_snapshots=False
+    )
     assert fast.snapshots == ()
     assert slow.snapshots == ()
     assert fast.values == slow.values

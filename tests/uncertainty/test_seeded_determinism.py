@@ -15,6 +15,7 @@ import pytest
 
 from repro.models.jsas import JsasConfiguration
 from repro.models.jsas.configs import build_uncertainty_analysis
+from tests.uncertainty.conftest import scalar_reference
 
 SAMPLES = 64
 SEED = 2004
@@ -24,7 +25,9 @@ def _run(method: str, batch: bool, seed: int = SEED):
     analysis = build_uncertainty_analysis(
         JsasConfiguration(n_instances=2, n_pairs=2), method=method
     )
-    return analysis.run(n_samples=SAMPLES, seed=seed, batch=batch)
+    if not batch:
+        analysis = scalar_reference(analysis)
+    return analysis.run(n_samples=SAMPLES, seed=seed)
 
 
 class TestSameEngineBitIdentity:
