@@ -7,7 +7,9 @@
   undocumented degree of freedom).
 * Steady-state solver choice (direct vs GTH) on the same chain,
   and the banded solve's two paths (C GTH, LAPACK band-LU) against the
-  reference GTH on the N-instance AS chain.
+  reference GTH on the N-instance AS chain, plus the scalar
+  ``steady_state_vector(method="banded")`` call that runs the same
+  kernel on one generator.
 """
 
 import functools
@@ -23,12 +25,13 @@ from repro.ctmc import (
     build_generator,
     solve_steady_state,
     steady_state_availability,
+    steady_state_vector,
 )
 from repro.ctmc.batch import banded_structure_of
 from repro.ctmc.sparse import gth_banded_batch
 from repro.ctmc.steady_state import _gth_reference
 from repro.kernels import cext
-from repro.kernels.banded import banded_steady_state
+from repro.kernels.banded import banded_kernel_plan, banded_steady_state
 from repro.models.jsas import (
     CONFIG_1,
     PAPER_PARAMETERS,
@@ -123,7 +126,7 @@ def run_solver_comparison():
 BANDED_INSTANCES = (11, 64, 256)
 BANDED_SAMPLES = (1, 100)
 BANDED_REPS = 7
-BANDED_PATHS = ("C GTH", "LAPACK band-LU", "reference GTH")
+BANDED_PATHS = ("C GTH", "LAPACK band-LU", "reference GTH", "scalar banded")
 
 
 def _median_ms(run) -> float:
@@ -141,7 +144,9 @@ def run_banded_paths(monkeypatch):
     Rows are ``(N, states, samples, path, median ms, max rel error)``;
     the error is against dense GTH on every sample.  The LAPACK path is
     reached by faking the C kernel unavailable, as ``tests/kernels``
-    does; the C rows are left out on a host that cannot build it.
+    does; the C rows are left out on a host that cannot build it.  The
+    "scalar banded" row (one sample only) times a scalar solve of the
+    first sweep point's generator, on whichever path the host takes.
     """
     paths = BANDED_PATHS if cext.load() is not None else BANDED_PATHS[1:]
     rows = []
@@ -163,16 +168,31 @@ def run_banded_paths(monkeypatch):
                 dict(BASE, Tstart_long_as=sweep[:k]), k
             )
             for path in paths:
-                if path == "reference GTH":
+                if path == "scalar banded":
+                    if k != 1:
+                        continue
+                    run = functools.partial(
+                        steady_state_vector,
+                        build_generator(
+                            model, dict(BASE, Tstart_long_as=float(sweep[0]))
+                        ),
+                        method="banded",
+                        check_structure=False,
+                    )
+                elif path == "reference GTH":
                     run = functools.partial(gth_banded_batch, structure, rates)
                 else:
                     run = functools.partial(
-                        banded_steady_state, compiled, rates
+                        banded_steady_state,
+                        banded_kernel_plan(compiled),
+                        rates,
                     )
                 with monkeypatch.context() as patch:
                     if path == "LAPACK band-LU":
                         patch.setattr(cext, "load", lambda: None)
-                    pis = run()  # also the warm-up: plan and C build
+                    # Also the warm-up: plan and C build.  A scalar
+                    # solve returns one vector; compare it as one row.
+                    pis = np.atleast_2d(run())
                     ms = _median_ms(run)
                 np.testing.assert_allclose(
                     pis, dense[:k], rtol=1e-10, atol=1e-14, err_msg=path

@@ -9,7 +9,7 @@ The public surface of this package:
   distribution, with selectable algorithm (direct LU, GTH elimination,
   banded GTH).
 * :func:`~repro.ctmc.transient.transient_distribution` — state
-  probabilities at time t (uniformization, matrix exponential, or ODE).
+  probabilities at time t (uniformization or matrix exponential).
 * :func:`~repro.ctmc.absorption.mean_time_to_absorption` and friends.
 * :func:`~repro.ctmc.rewards.steady_state_availability` and the other
   reward measures.

@@ -26,16 +26,15 @@ equality on random chains and on the paper's models.
 
 **Large state spaces.**  The dense stack is O(n^2) memory per sample, so
 models at or above :data:`~repro.ctmc.generator.SPARSE_THRESHOLD` states
-are routed through the structure-exploiting engines in
-:mod:`repro.ctmc.sparse` instead: batched banded GTH when the generator
-is banded-plus-spike (the generalized N-instance AS model), sparse LU
-with symbolic-pattern reuse otherwise.  ``method="auto"`` additionally
-picks the banded engine for banded models at or above
-:data:`~repro.ctmc.sparse.BANDED_BATCH_MIN_STATES` states — the batch
-crossover is far below the scalar one because the elimination is
-vectorized over the whole sample block.  The bit-parity contract applies
-to the dense paths; the structured engines match the dense reference to
-~1e-12.
+are routed through the structure-exploiting engines instead: the banded
+kernel (:mod:`repro.kernels.banded`, the same solve scalar
+``steady_state_vector`` runs) when the generator is banded-plus-spike
+(the generalized N-instance AS model), sparse LU with symbolic-pattern
+reuse (:mod:`repro.ctmc.sparse`) otherwise.  ``method="auto"``
+additionally picks the banded engine for banded models of
+:data:`~repro.ctmc.sparse.BANDED_MIN_STATES` states or more, the same
+cutover scalar ``auto`` uses.  The bit-parity contract applies to the
+dense paths; the structured engines match the dense reference to ~1e-12.
 """
 
 from __future__ import annotations
@@ -52,14 +51,14 @@ from repro.core.compiled import ColumnLike, CompiledModel, compile_model
 from repro.core.model import MarkovModel
 from repro.ctmc.generator import SPARSE_THRESHOLD, GeneratorMatrix
 from repro.ctmc.sparse import (
-    BANDED_BATCH_MIN_STATES,
+    BANDED_MIN_STATES,
     MAX_BANDWIDTH,
     BandedStructure,
     SparseSteadyStateSolver,
     SparseUpBlockSolver,
     detect_banded_structure,
 )
-from repro.kernels.banded import banded_steady_state
+from repro.kernels.banded import banded_kernel_plan, banded_steady_state
 from repro.ctmc.steady_state import _gth_reference, steady_state_vector
 from repro.ctmc.structure import classify_states
 from repro.exceptions import SolverError, StructureError
@@ -445,7 +444,7 @@ def _resolve_engine(compiled: CompiledModel, method: str) -> str:
         return "sparse"
     if method == "auto":
         if (
-            n >= BANDED_BATCH_MIN_STATES
+            n >= BANDED_MIN_STATES
             and banded_structure_of(compiled) is not None
         ):
             return "banded"
@@ -490,12 +489,7 @@ def _structured_solve_block(
 ) -> np.ndarray:
     """Solve one irreducible zero-pattern group with a structured engine."""
     if engine == "banded":
-        structure = banded_structure_of(compiled)
-        assert structure is not None
-        # The kernel dispatch (C GTH, or block-diagonal LAPACK falling
-        # back per sample to the GTH reference) replaces the
-        # interpreted Python elimination loop.
-        pis = banded_steady_state(compiled, rates)
+        pis = banded_steady_state(banded_kernel_plan(compiled), rates)
     else:
         solver = _sparse_solver_of(compiled)
         pis = np.empty((rates.shape[0], compiled.n_states))

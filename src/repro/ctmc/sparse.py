@@ -4,8 +4,7 @@ The dense solvers in :mod:`repro.ctmc.steady_state` are O(n^3) time and
 O(n^2) memory per sample — fine for the paper's 5-6 state models,
 hopeless for the generalized N-instance AS model (3N - 1 states) or for
 SPN reachability graphs with 10^4-10^5 tangible markings.  This module
-provides the two structure-exploiting paths the batch engine routes such
-models through:
+provides the two structure-exploiting paths such models go through:
 
 * **Banded GTH** — the generalized AS model (and every birth-death-like
   availability chain) has a *banded* generator: all transitions connect
@@ -16,8 +15,10 @@ models through:
   ``j in [k-l, k)`` — offsets that stay inside the ``(l, u)`` band — and
   at ``(i, 0)``, which stays in column 0.  So the whole subtraction-free
   elimination runs on a band of width ``l + u + 1`` plus one spike
-  column: O(n b^2) per sample instead of O(n^3), vectorized over all
-  samples of a batch at once.
+  column: O(n b^2) per sample instead of O(n^3).  This module detects
+  the shape (:func:`detect_banded_structure`) and holds the interpreted
+  reference elimination (:func:`gth_banded_batch`); scalar and batch
+  solves both run it through :mod:`repro.kernels.banded`.
 
 * **Sparse LU with symbolic-pattern reuse** — the augmented system
   ``A x = e_n`` (``A = Q^T`` with the last row replaced by ones) has a
@@ -25,9 +26,9 @@ models through:
   not on the sampled rates.  :class:`CsrPattern` computes the CSR
   symbolic structure (indices, indptr, and a scatter map from transition
   rates to data slots) exactly once per compiled model; each sample then
-  only fills the data array and factorizes with ``splu``.  ILU-
-  preconditioned GMRES and matrix-free power iteration serve as
-  fallbacks for samples where the direct factorization misbehaves.
+  only fills the data array and factorizes with ``splu``.  A sample
+  whose factorization fails or yields no probability vector raises
+  :class:`~repro.exceptions.SolverError`.
 
 Both paths are exercised against the dense reference solvers by the
 property tests in ``tests/ctmc/test_sparse.py``.
@@ -49,23 +50,10 @@ from repro.exceptions import SolverError
 #: this the O(n b^2) cost loses to the general sparse path anyway.
 MAX_BANDWIDTH = 16
 
-#: Scalar-path cutover: below this many states a single dense LU solve
-#: beats one banded GTH elimination pass (plan setup and the per-state
-#: elimination loop cannot amortize over a lone sample), so scalar
-#: ``method="auto"`` stays dense under it.
-BANDED_MIN_STATES = 48
-
-#: Batch-path cutover: vectorizing the elimination across the whole
-#: sample block amortizes the per-state overhead, so the banded engine
-#: overtakes the dense stacked LU at a much smaller size (measured
-#: crossover ~12 states on both the compiled and numpy backends; the
-#: dense stack is O(n^2) per sample and falls behind fast).  Held at 32
-#: rather than the raw crossover because every Table 3 paper model
-#: (largest AS submodel: 29 states at ``n_instances=10``) is pinned
-#: bit-identical between the compiled/batch and scalar engines, and the
-#: banded elimination is algebraically distinct from the dense LU; the
-#: generalized sweeps the cutover targets start at 47 states (N=16).
-BANDED_BATCH_MIN_STATES = 32
+#: Banded chains this large take the banded solve under ``method="auto"``,
+#: scalar and batch alike.  Table 3's largest AS submodel has 29 states, so
+#: every paper model stays dense and keeps its scalar-vs-batch bit parity.
+BANDED_MIN_STATES = 32
 
 
 @dataclass(frozen=True)
@@ -298,9 +286,7 @@ class SparseSteadyStateSolver:
     ``A pi = e_{n-1}`` with ``A = Q^T`` and the last row replaced by
     ones.  The pattern (and the transition-to-slot scatter maps) are
     computed once; each sample costs one data fill plus one ``splu``
-    factorization.  :meth:`solve` falls back to ILU-preconditioned GMRES
-    and then matrix-free power iteration when the direct factorization
-    fails or returns an invalid vector.
+    factorization, whose vector must pass the probability-vector check.
     """
 
     def __init__(
@@ -321,48 +307,30 @@ class SparseSteadyStateSolver:
                 np.ones(n),
             ),
         )
-        # Plain Q (for the matrix-free power fallback), built lazily.
-        self._q_pattern: Optional[CsrPattern] = None
-        self._sources = sources
-        self._targets = targets
         self._rhs = np.zeros(n)
         self._rhs[n - 1] = 1.0
 
-    def _generator_pattern(self) -> CsrPattern:
-        if self._q_pattern is None:
-            n, src, tgt = self.n, self._sources, self._targets
-            all_t = np.arange(src.size, dtype=np.intp)
-            self._q_pattern = CsrPattern(
-                shape=(n, n),
-                plus=(src, tgt, all_t),
-                minus=(src, src, all_t),
-            )
-        return self._q_pattern
+    def solve(self, rates_row: np.ndarray) -> np.ndarray:
+        """Stationary vector for one sample.
 
-    def solve(self, rates_row: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-        """Stationary vector for one sample (splu -> GMRES -> power)."""
+        Raises:
+            SolverError: When the factorization fails or its vector is
+                not a probability vector.
+        """
         a = self._pattern.assemble(rates_row)
-        stage = "splu"
-        pi = self._try_splu(a)
-        if pi is None:
-            stage = "gmres"
-            obs.counter(
-                "ctmc_sparse_fallbacks_total", escalated_to="gmres"
-            ).inc()
-            pi = self._try_gmres(a, tol)
-        if pi is None:
-            stage = "power"
-            obs.counter(
-                "ctmc_sparse_fallbacks_total", escalated_to="power"
-            ).inc()
-            pi = self._try_power(rates_row, tol)
-        if pi is None:
-            obs.event("ctmc.sparse_ladder_exhausted", n_states=self.n)
+        try:
+            x = spla.splu(a.tocsc()).solve(self._rhs)
+        except (RuntimeError, ValueError) as exc:
             raise SolverError(
-                "sparse steady-state solve failed: splu, preconditioned "
-                "GMRES and power iteration all diverged"
+                f"sparse steady-state solve failed: {exc}"
+            ) from exc
+        pi = self._valid(x)
+        if pi is None:
+            raise SolverError(
+                "sparse steady-state solve produced an invalid "
+                "probability vector"
             )
-        obs.counter("ctmc_sparse_solves_total", stage=stage).inc()
+        obs.counter("ctmc_sparse_solves_total").inc()
         return pi
 
     def _valid(self, pi: np.ndarray) -> Optional[np.ndarray]:
@@ -374,64 +342,6 @@ class SparseSteadyStateSolver:
             and abs(pi.sum() - 1.0) <= 1e-6
         ):
             return pi
-        return None
-
-    def _try_splu(self, a: sp.csr_matrix) -> Optional[np.ndarray]:
-        try:
-            lu = spla.splu(a.tocsc())
-            return self._valid(lu.solve(self._rhs))
-        except (RuntimeError, ValueError):
-            return None
-
-    def _try_gmres(
-        self, a: sp.csr_matrix, tol: float
-    ) -> Optional[np.ndarray]:
-        iterations = [0] if obs.enabled() else None
-
-        def _count(_residual) -> None:
-            iterations[0] += 1
-
-        try:
-            ilu = spla.spilu(a.tocsc(), drop_tol=1e-12, fill_factor=30.0)
-            preconditioner = spla.LinearOperator(a.shape, ilu.solve)
-            x, info = spla.gmres(
-                a,
-                self._rhs,
-                M=preconditioner,
-                rtol=tol,
-                atol=0.0,
-                maxiter=200,
-                callback=_count if iterations is not None else None,
-                callback_type="pr_norm",
-            )
-        except (RuntimeError, ValueError):
-            return None
-        if iterations is not None:
-            obs.histogram(
-                "ctmc_gmres_iterations",
-                buckets=(1, 2, 5, 10, 20, 50, 100, 200),
-            ).observe(iterations[0])
-        if info != 0:
-            return None
-        return self._valid(x)
-
-    def _try_power(
-        self, rates_row: np.ndarray, tol: float, max_iterations: int = 200_000
-    ) -> Optional[np.ndarray]:
-        q = self._generator_pattern().assemble(rates_row)
-        exit_rates = -q.diagonal()
-        lam = float(exit_rates.max()) * 1.05
-        if lam <= 0.0:
-            return None
-        n = self.n
-        p = sp.identity(n, format="csr") + q / lam
-        pi = np.full(n, 1.0 / n)
-        for _ in range(max_iterations):
-            nxt = np.asarray(pi @ p).ravel()
-            nxt /= nxt.sum()
-            if np.abs(nxt - pi).max() < tol:
-                return self._valid(nxt)
-            pi = nxt
         return None
 
 
@@ -509,23 +419,6 @@ def _generator_coo(generator) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     np.fill_diagonal(dense, 0.0)
     src, tgt = np.nonzero(dense)
     return src.astype(np.intp), tgt.astype(np.intp), dense[src, tgt]
-
-
-def solve_banded_generator(generator) -> np.ndarray:
-    """Scalar banded-GTH solve of one bound generator.
-
-    Raises:
-        SolverError: If the generator has no banded-plus-spike shape.
-    """
-    src, tgt, rates = _generator_coo(generator)
-    structure = detect_banded_structure(generator.n_states, src, tgt)
-    if structure is None:
-        raise SolverError(
-            f"model {generator.model_name!r} has no banded-plus-spike "
-            f"structure (bandwidth over {MAX_BANDWIDTH} or too few "
-            "states); use method='direct' or 'gth'"
-        )
-    return gth_banded_batch(structure, rates[None, :])[0]
 
 
 def generator_banded_structure(generator) -> Optional[BandedStructure]:

@@ -11,24 +11,26 @@ Two general algorithms are provided:
   per-year failure rates with per-minute repair rates — eight orders of
   magnitude in this paper's models).
 
-A structure-exploiting method (see :mod:`repro.ctmc.sparse`) extends
-the reach to large state spaces:
+A structure-exploiting method extends the reach to large state spaces:
 
-* ``"banded"`` — subtraction-free GTH elimination restricted to the
-  generator's band plus the column-0 repair spike; O(n b^2) instead of
-  O(n^3).  Only valid for banded-plus-spike chains (the generalized
-  N-instance AS model, birth-death chains).
+* ``"banded"`` — the batch engine's banded kernel
+  (:mod:`repro.kernels.banded`: C GTH elimination restricted to the
+  generator's band plus the column-0 repair spike, or LAPACK band-LU on
+  a host with no C compiler); O(n b^2) instead of O(n^3).  Only valid
+  for banded-plus-spike chains (the generalized N-instance AS model,
+  birth-death chains; see :mod:`repro.ctmc.sparse`).
 
 ``"auto"`` picks for you: banded when the structure is detected on a
-large enough chain, otherwise direct.  All methods agree to tight
-tolerances on the paper's models; the property tests in
+chain of :data:`~repro.ctmc.sparse.BANDED_MIN_STATES` states or more
+(the batch engine's cutover too), otherwise direct.  All methods agree
+to tight tolerances on the paper's models; the property tests in
 ``tests/ctmc/test_steady_state.py`` and ``tests/ctmc/test_sparse.py``
 enforce this on random chains.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Union
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,11 +41,14 @@ from repro.core.model import MarkovModel
 from repro.ctmc.generator import GeneratorMatrix, as_generator
 from repro.ctmc.sparse import (
     BANDED_MIN_STATES,
-    generator_banded_structure,
-    solve_banded_generator,
+    MAX_BANDWIDTH,
+    BandedStructure,
+    _generator_coo,
+    detect_banded_structure,
 )
 from repro.ctmc.structure import classify_states
 from repro.exceptions import SolverError, StructureError
+from repro.kernels.banded import BandedKernelPlan, banded_steady_state
 
 Method = str  # "direct" | "gth" | "banded" | "auto"
 
@@ -101,11 +106,16 @@ def steady_state_vector(
                 pi[generator.index_of(name)] = mass
             return pi
     requested = method
+    arcs = structure = None
+    if method == "banded" or (
+        method == "auto" and generator.n_states >= BANDED_MIN_STATES
+    ):
+        arcs = _generator_coo(generator)
+        structure = detect_banded_structure(
+            generator.n_states, arcs[0], arcs[1]
+        )
     if method == "auto":
-        method = "direct"
-        if generator.n_states >= BANDED_MIN_STATES:
-            if generator_banded_structure(generator) is not None:
-                method = "banded"
+        method = "direct" if structure is None else "banded"
     if obs.enabled():
         obs.counter("ctmc_steady_state_solves_total", method=method).inc()
         if requested == "auto":
@@ -120,7 +130,7 @@ def steady_state_vector(
     elif method == "gth":
         pi = _solve_gth(generator)
     elif method == "banded":
-        pi = solve_banded_generator(generator)
+        pi = _solve_banded(generator, arcs, structure)
     else:
         raise SolverError(
             f"unknown steady-state method {method!r}; "
@@ -174,6 +184,23 @@ def _solve_direct(generator: GeneratorMatrix) -> np.ndarray:
                 f"{generator.model_name!r}: {exc}"
             ) from exc
     return np.asarray(pi, dtype=float)
+
+
+def _solve_banded(
+    generator: GeneratorMatrix,
+    arcs: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    structure: Optional[BandedStructure],
+) -> np.ndarray:
+    """The batch engine's banded kernel on one generator's arcs."""
+    if structure is None:
+        raise SolverError(
+            f"model {generator.model_name!r} has no banded-plus-spike "
+            f"structure (bandwidth over {MAX_BANDWIDTH} or too few "
+            "states); use method='direct' or 'gth'"
+        )
+    sources, targets, rates = arcs
+    plan = BandedKernelPlan(structure, sources, targets)
+    return banded_steady_state(plan, rates[None, :])[0]
 
 
 def _solve_gth(generator: GeneratorMatrix) -> np.ndarray:

@@ -7,7 +7,6 @@ from typing import Mapping, Optional
 
 from repro.core.model import MarkovModel
 from repro.ctmc.rewards import (
-    equivalent_failure_recovery_rates,
     steady_state_availability,
     AvailabilityResult,
 )

@@ -2,7 +2,8 @@
 
 The interpreted reference (:func:`repro.ctmc.sparse.gth_banded_batch`)
 is a Python loop over states — O(n) interpreter iterations per batch.
-This module runs the same solve on one of two paths, chosen by the host
+This module runs the same solve, for the batch engine and for scalar
+``steady_state_vector`` alike, on one of two paths, chosen by the host
 (:func:`repro.kernels.backend_name` reports which):
 
 * **cext** — the C GTH elimination from :mod:`repro.kernels.cext`,
@@ -125,10 +126,11 @@ class _ScatterMap:
 class BandedKernelPlan:
     """Precomputed scatter maps for one model's banded solves.
 
-    Built once per compiled model (cached in ``solver_cache``); holds
-    :class:`_ScatterMap` gathers taking the ``(k, n_transitions)`` rate
-    matrix straight to the LAPACK band storage / GTH band-plus-spike
-    storage.
+    Built from a transition list: once per compiled model for batch
+    solves (cached in ``solver_cache``), once per call from the
+    generator's arcs for scalar ones.  Holds :class:`_ScatterMap`
+    gathers taking the ``(k, n_transitions)`` rate matrix straight to
+    the LAPACK band storage / GTH band-plus-spike storage.
     """
 
     __slots__ = (
@@ -305,13 +307,20 @@ def _solve_cext(plan: BandedKernelPlan, rates: np.ndarray) -> Optional[np.ndarra
 # Dispatch -------------------------------------------------------------------
 
 
-def banded_steady_state(compiled, rates: np.ndarray) -> np.ndarray:
+def banded_steady_state(
+    plan: BandedKernelPlan, rates: np.ndarray
+) -> np.ndarray:
     """Stationary vectors through the C kernel, or LAPACK without one.
 
+    The one banded solve behind both the batch engine (whose plan comes
+    cached from :func:`banded_kernel_plan`) and scalar
+    ``steady_state_vector`` (whose plan is built from the generator's
+    arcs).
+
     Args:
-        compiled: A :class:`~repro.core.compiled.CompiledModel` whose
-            banded structure has already been detected (and cached).
-        rates: ``(k, n_transitions)`` non-negative rate matrix.
+        plan: The model's :class:`BandedKernelPlan`.
+        rates: ``(k, n_transitions)`` non-negative rate matrix, columns
+            in the order of the arcs the plan was built from.
 
     Returns:
         ``(k, n)`` normalized stationary vectors.
@@ -320,6 +329,5 @@ def banded_steady_state(compiled, rates: np.ndarray) -> np.ndarray:
         SolverError: On a reducible / non-normalizable sample, matching
             the interpreted engine's behavior.
     """
-    plan = banded_kernel_plan(compiled)
     pis = _solve_cext(plan, rates)
     return pis if pis is not None else _solve_numpy(plan, rates)

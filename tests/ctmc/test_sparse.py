@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.core.compiled import compile_model
 from repro.core.model import MarkovModel, birth_death_model
 from repro.ctmc.batch import (
@@ -227,14 +228,11 @@ class TestDispatchAndDiagnostics:
             batch_steady_state(model, {}, n_samples=1, method="banded")
 
     def test_auto_equals_direct_on_small_models(self):
-        """Below the banded cutovers 'auto' must be bit-identical to
-        direct (scalar and batch have separate thresholds)."""
-        from repro.ctmc.sparse import BANDED_BATCH_MIN_STATES
-
+        """Below the banded cutover 'auto' must be bit-identical to
+        direct, scalar and batch."""
         model = build_appserver_model(4)
         values = paper_values()
         generator = build_generator(model, values)
-        assert generator.n_states < BANDED_BATCH_MIN_STATES
         assert generator.n_states < BANDED_MIN_STATES
         auto = steady_state_vector(generator, method="auto")
         direct = steady_state_vector(generator, method="direct")
@@ -243,22 +241,46 @@ class TestDispatchAndDiagnostics:
         batch_direct = batch_steady_state(model, values, 1, method="direct")
         assert (batch_auto == batch_direct).all()
 
-    def test_batch_auto_uses_banded_below_scalar_cutover(self):
-        """The N=16 AS model (47 states) sits below the scalar cutover
-        but well past the batch one: batch 'auto' must pick the banded
-        engine there (the BENCH_scale non-monotonicity regression)."""
+    def test_scalar_and_batch_auto_share_cutover(self):
+        """One cutover: AS N=10 (29 states) stays dense on both paths,
+        N=11 (32 states) and N=16 (47 states) go banded on both."""
         from repro.ctmc.batch import _resolve_engine
-        from repro.ctmc.sparse import BANDED_BATCH_MIN_STATES
 
-        compiled = compile_model(build_appserver_model(16))
-        assert (
-            BANDED_BATCH_MIN_STATES
-            <= compiled.n_states
-            < BANDED_MIN_STATES
-        )
-        assert _resolve_engine(compiled, "auto") == "banded"
-        # Dense methods keep their bit-parity contract at this size.
-        assert _resolve_engine(compiled, "direct") == "direct"
+        cases = ((10, "direct"), (11, "banded"), (16, "banded"))
+        for n_instances, engine in cases:
+            model = build_appserver_model(n_instances)
+            with obs.observe() as recorder:
+                steady_state_vector(
+                    build_generator(model, paper_values()), method="auto"
+                )
+            (chosen,) = [
+                record["fields"]["chosen"]
+                for record in recorder.records
+                if record["name"] == "ctmc.method_auto"
+            ]
+            assert chosen == engine, n_instances
+            compiled = compile_model(model)
+            batch = _resolve_engine(compiled, "auto")
+            # Batch "auto" below the cutover is the dense stacked LU.
+            assert batch == ("auto" if engine == "direct" else engine)
+            # Dense methods keep their bit-parity contract at any size
+            # below SPARSE_THRESHOLD.
+            assert _resolve_engine(compiled, "direct") == "direct"
+
+    def test_sparse_factorization_failure_names_sample(self, monkeypatch):
+        """A failed splu surfaces as a SolverError naming the model and
+        the sample; there is no second rung."""
+        import repro.ctmc.sparse as sparse
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(sparse.spla, "splu", fail)
+        model = build_appserver_model(4)
+        with pytest.raises(
+            SolverError, match=rf"model {model.name!r}, sample 0"
+        ):
+            batch_steady_state(model, paper_values(), 1, method="sparse")
 
 
 def _arc_arrays(model):

@@ -8,10 +8,15 @@ import numpy as np
 import pytest
 
 from repro.core.compiled import compile_model
+from repro.core.model import birth_death_model
 from repro.ctmc.batch import banded_structure_of, batch_steady_state
+from repro.ctmc.generator import build_generator
+from repro.ctmc.steady_state import steady_state_vector
 from repro.exceptions import SolverError
 from repro.kernels import cext
 from repro.models.jsas import PAPER_PARAMETERS
+from repro.models.jsas.appserver import build_appserver_model
+from repro.models.jsas.parameters import paper_values
 from repro.models.jsas.system import JsasConfiguration
 
 
@@ -71,6 +76,41 @@ def test_batched_solve_is_per_sample_bit_identical(banded_path):
             method="banded",
         )
         assert np.array_equal(alone[0], together[i]), f"sample {i}"
+
+
+PARITY_CHAINS = [
+    (n, policy) for n in (11, 16, 64) for policy in ("sequential", "parallel")
+] + [("birth-death", 200)]
+
+
+@pytest.mark.parametrize(
+    "chain", PARITY_CHAINS, ids=lambda chain: "-".join(map(str, chain))
+)
+def test_scalar_banded_matches_batch_banded(banded_path, chain):
+    """Scalar ``method="banded"`` runs the batch engine's kernel: the
+    same bits on the C path; on the LAPACK path the exit-rate diagonal
+    sums arcs in generator order on one side and model order on the
+    other, so only rounding differs."""
+    if chain[0] == "birth-death":
+        levels = chain[1]
+        model = birth_death_model(
+            "bd", levels, [1.0] * (levels - 1), [2.0] * (levels - 1)
+        )
+        values = {}
+    else:
+        model = build_appserver_model(chain[0], repair_policy=chain[1])
+        values = paper_values()
+    scalar = steady_state_vector(
+        build_generator(model, values), method="banded"
+    )
+    batch = batch_steady_state(model, values, 1, method="banded")[0]
+    if banded_path == "c":
+        assert np.array_equal(scalar, batch)
+    else:
+        down = ~compile_model(model).up_mask
+        assert scalar[down].sum() == pytest.approx(
+            batch[down].sum(), rel=1e-12
+        )
 
 
 def test_numpy_vs_other_backends_close(monkeypatch):

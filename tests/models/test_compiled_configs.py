@@ -35,10 +35,13 @@ def test_solve_compiled_matches_solve(shape):
 @pytest.mark.parametrize("n_instances", [11, 12])
 def test_large_parallel_repair_shape_solves(n_instances):
     """Direct LU loses these AS submodels' down mass (``Mu_appl`` comes
-    out infinite and the scalar ``auto`` solve raises); the banded GTH
-    solve that batch ``auto`` picks at 32+ states answers like GTH."""
+    out infinite and the scalar ``direct`` solve raises); the banded GTH
+    solve that scalar and batch ``auto`` pick at 32+ states answers like
+    GTH."""
     config = JsasConfiguration(n_instances, 2, repair_policy="parallel")
     result = config.solve(PAPER_PARAMETERS)
+    scalar = _scalar_solve(config, PAPER_PARAMETERS)
+    assert scalar.availability == result.availability
     reference = _scalar_solve(config, PAPER_PARAMETERS, method="gth")
     assert result.availability == pytest.approx(
         reference.availability, rel=1e-15
