@@ -78,6 +78,11 @@ def steady_state_vector(
         SolverError: If the linear algebra fails or the result is not a
             probability vector.
     """
+    if method not in ("direct", "gth", "banded", "auto"):
+        raise SolverError(
+            f"unknown steady-state method {method!r}; "
+            "expected 'direct', 'gth', 'banded' or 'auto'"
+        )
     if check_structure:
         classification = classify_states(generator)
         if not classification.has_single_recurrent_class:
@@ -129,13 +134,8 @@ def steady_state_vector(
         pi = _solve_direct(generator)
     elif method == "gth":
         pi = _solve_gth(generator)
-    elif method == "banded":
-        pi = _solve_banded(generator, arcs, structure)
     else:
-        raise SolverError(
-            f"unknown steady-state method {method!r}; "
-            "expected 'direct', 'gth', 'banded' or 'auto'"
-        )
+        pi = _solve_banded(generator, arcs, structure)
     _check_probability_vector(pi, generator, tol=1e-8)
     return pi
 

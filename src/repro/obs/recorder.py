@@ -6,6 +6,11 @@ measure wall *and* CPU time), and a :class:`~repro.obs.metrics.MetricsRegistry`.
 Sinks subscribe to the event stream; the JSONL sink in
 :mod:`repro.obs.sinks` writes each record as one line.
 
+Span nesting is per thread: each thread keeps its own stack of open
+spans, so a span opened on one thread never takes its parent from a
+span still open on another (the service opens spans on its HTTP and
+dispatch threads at once).
+
 Observability is **off by default**.  The module-level API in
 :mod:`repro.obs` dispatches to a process-global recorder which starts as
 the :data:`NULL_RECORDER` — a shared no-op object whose ``span()``
@@ -17,6 +22,8 @@ additionally guard with ``obs.enabled()`` and aggregate counts locally.
 
 from __future__ import annotations
 
+import itertools
+import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -88,7 +95,7 @@ class Span:
         return self
 
     def __enter__(self) -> "Span":
-        self.recorder._stack.append(self.span_id)
+        self.recorder._stack.ids.append(self.span_id)
         # Under an active trace scope (thread-local), claim a globally
         # unique ref so this span stays linkable across process
         # boundaries; single-process traces skip this entirely.
@@ -103,7 +110,7 @@ class Span:
     def __exit__(self, exc_type, exc, tb) -> None:
         wall = time.perf_counter() - self._perf0
         cpu = time.process_time() - self._cpu0
-        stack = self.recorder._stack
+        stack = self.recorder._stack.ids
         if stack and stack[-1] == self.span_id:
             stack.pop()
         if self.span_ref is not None:
@@ -197,6 +204,13 @@ class NullRecorder:
 NULL_RECORDER = NullRecorder()
 
 
+class _ThreadStack(threading.local):
+    """The calling thread's open span ids, innermost last."""
+
+    def __init__(self) -> None:
+        self.ids: List[int] = []
+
+
 class Recorder:
     """A live recorder: events, nested spans, and a metrics registry.
 
@@ -217,8 +231,8 @@ class Recorder:
         self.records: List[Dict[str, Any]] = []
         self._sinks = list(sinks)
         self._keep = keep_records
-        self._stack: List[int] = []
-        self._next_id = 1
+        self._stack = _ThreadStack()
+        self._span_ids = itertools.count(1)
 
     # Event bus -----------------------------------------------------------
 
@@ -240,11 +254,12 @@ class Recorder:
 
     def event(self, name: str, **fields: Any) -> None:
         """Emit one structured event, linked to the enclosing span."""
+        stack = self._stack.ids
         record = {
             "kind": KIND_EVENT,
             "name": name,
             "span_id": None,
-            "parent_id": self._stack[-1] if self._stack else None,
+            "parent_id": stack[-1] if stack else None,
             "t": time.time(),
             "fields": fields,
         }
@@ -257,10 +272,9 @@ class Recorder:
 
     def span(self, name: str, **fields: Any) -> Span:
         """Open a nested span; use as ``with recorder.span("stage"): ...``."""
-        span_id = self._next_id
-        self._next_id += 1
-        parent = self._stack[-1] if self._stack else None
-        return Span(self, name, span_id, parent, fields)
+        stack = self._stack.ids
+        parent = stack[-1] if stack else None
+        return Span(self, name, next(self._span_ids), parent, fields)
 
     # Metrics -------------------------------------------------------------
 

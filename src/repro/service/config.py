@@ -55,9 +55,9 @@ class ServiceConfig:
             so the config stays hashable.  Requires ``chaos=True``.
         worker_processes: Pre-forked solver worker processes.  ``0``
             (default) solves in-process on the micro-batcher's dispatch
-            threads; ``N >= 1`` forks N solver processes at boot and
-            routes every ``/v1/solve`` batch through the shared dispatch
-            queue (see :mod:`repro.service.prefork`).  Payloads are
+            threads; ``N >= 1`` forks N solver processes at boot, and
+            each dispatch thread checks one out per ``/v1/solve`` batch
+            (see :mod:`repro.service.prefork`).  Payloads are
             bit-identical either way.
         trace_dir: Directory for per-process distributed-trace JSONL
             files.  When set (and no recorder is already installed),

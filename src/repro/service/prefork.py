@@ -3,28 +3,27 @@
 The micro-batcher's dispatch threads are enough while solves are cheap,
 but one Python process tops out at one core of linear algebra.  With
 ``ServiceConfig(worker_processes=N)`` the service forks ``N`` solver
-processes at boot; every coalesced ``/v1/solve`` batch is dispatched
-round-robin over a *per-worker duplex pipe*, solved there, and the
-JSON-able *result cores* travel back over the same pipe.  Compiled
-models and the loaded C kernel live in each worker (inherited from the
-parent by fork, then warmed per group on first use).
+processes at boot; every coalesced ``/v1/solve`` batch is solved in one
+of them, sent over that worker's own duplex pipe, and the JSON-able
+*result cores* travel back over the same pipe.  Compiled models and the
+loaded C kernel live in each worker (inherited from the parent by fork,
+then warmed per group on first use).
 
 Two design rules make the pool robust to workers dying at arbitrary
-instants (the recovery test SIGKILLs them mid-flight):
+instants (the recovery tests SIGKILL them mid-flight):
 
 * **Lock-free transport.**  Each worker talks over its own
-  :func:`multiprocessing.Pipe`, so every pipe direction has exactly one
-  writer and one reader and no cross-process lock exists to poison.
-  (``multiprocessing.Queue`` is unusable here — a worker killed at the
-  wrong instant dies holding the queue's shared read or write
-  semaphore and every sibling blocks forever.)
-* **Single-owner I/O.**  One manager thread owns every pipe end:
-  it dispatches jobs, collects results via
-  :func:`multiprocessing.connection.wait`, detects EOF from dead
-  workers, respawns them and resubmits their in-flight jobs.  Request
-  threads never touch a pipe — :meth:`SolverPool.execute` enqueues the
-  job, pokes the manager through a self-pipe, and waits on an event —
-  so there is no close-during-wait or fd-reuse race between threads.
+  :func:`multiprocessing.Pipe`, so no cross-process lock exists to
+  poison.  (``multiprocessing.Queue`` is unusable here — a worker
+  killed at the wrong instant dies holding the queue's shared read or
+  write semaphore and every sibling blocks forever.)
+* **Checkout.**  The dispatch thread that calls
+  :meth:`SolverPool.execute` takes an idle worker and owns its pipe for
+  one batch: it sends the batch, waits for the reply or for the worker
+  to die, and returns the worker to the idle set.  Each pipe has one
+  user at a time, so there is no close-during-wait or fd-reuse race
+  between threads.  At most ``N`` batches solve at once; a caller that
+  finds no idle worker waits for one.
 
 Properties the tests pin down:
 
@@ -32,9 +31,9 @@ Properties the tests pin down:
   ``_SolveGroup.solve_cores`` code and pickled ``float`` round-trips
   preserve bits, so payloads are identical to ``worker_processes=0``.
 * **Crash recovery** — solves are idempotent and content-addressed, so
-  when a worker dies the pool respawns it and resubmits its pending
-  jobs (bounded attempts), and the request completes instead of
-  hanging.
+  when a worker dies mid-batch its caller replaces it and resends the
+  batch (bounded attempts), and the request completes instead of
+  hanging.  An idle worker that died is replaced at the next checkout.
 * **Isolation** — a worker that OOMs or segfaults takes its process
   down, not the server.
 
@@ -47,20 +46,19 @@ with and without the pool.
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 import os
 import threading
-from collections import deque
-from multiprocessing import connection
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.service.errors import ServiceError
 
-#: Give up on a job after this many worker deaths mid-solve.
+#: Give up on a batch after this many worker deaths mid-solve.
 MAX_ATTEMPTS = 3
 
+#: How often a caller waiting for a reply checks for a dead worker or a
+#: closed pool.
 _WAIT_SECONDS = 0.25
 
 
@@ -131,7 +129,7 @@ def _worker_main(
             return
         if task is None:
             return
-        job_id, spec, values_list, trace = task
+        spec, values_list, trace = task
         try:
             group = groups.get(spec)
             if group is None:
@@ -143,10 +141,10 @@ def _worker_main(
                     batch_size=len(values_list),
                 ):
                     cores = group.solve_cores(values_list)
-            conn.send((job_id, True, cores))
+            conn.send((True, cores))
         except BaseException as exc:  # noqa: BLE001 - forwarded by name
             try:
-                conn.send((job_id, False, (type(exc).__name__, str(exc))))
+                conn.send((False, (type(exc).__name__, str(exc))))
             except (BrokenPipeError, OSError):  # pragma: no cover
                 return
 
@@ -171,28 +169,6 @@ def _rebuild_exception(type_name: str, message: str) -> BaseException:
     return ServiceError(f"{type_name}: {message}")
 
 
-class _PendingJob:
-    __slots__ = (
-        "spec", "values_list", "event", "ok", "payload", "attempts",
-        "worker_index", "trace",
-    )
-
-    def __init__(
-        self,
-        spec: Tuple,
-        values_list: Sequence[Any],
-        trace: Any = None,
-    ) -> None:
-        self.spec = spec
-        self.values_list = values_list
-        self.event = threading.Event()
-        self.ok = False
-        self.payload: Any = None
-        self.attempts = 0
-        self.worker_index = -1
-        self.trace = trace
-
-
 class _Worker:
     """One solver process plus the parent end of its duplex pipe."""
 
@@ -204,7 +180,7 @@ class _Worker:
 
 
 class SolverPool:
-    """N forked solver processes, one lock-free duplex pipe each."""
+    """N forked solver processes, each checked out for one batch at a time."""
 
     def __init__(
         self,
@@ -224,26 +200,19 @@ class SolverPool:
         self.trace_dir = trace_dir
         self.label = label
         self._context = multiprocessing.get_context("fork")
-        self._lock = threading.Lock()
-        self._pending: Dict[int, _PendingJob] = {}
-        self._inbox: Deque[int] = deque()
-        self._job_ids = itertools.count()
-        self._round_robin = itertools.count()
+        # One lock guards the idle set and every fork, so each worker's
+        # child pipe end is closed before a sibling can inherit it (an
+        # inherited copy would hold the pipe open after the worker dies).
+        self._cond = threading.Condition()
         self._closed = False
-        self._wake_r, self._wake_w = os.pipe()
-        # Workers are spawned by the manager thread itself, so every
-        # pipe end is born and dies on one thread.
-        self._workers: List[_Worker] = []
-        self._ready = threading.Event()
-        self._manager = threading.Thread(
-            target=self._manage, name="repro-solver-pool-manager",
-            daemon=True,
-        )
-        self._manager.start()
-        self._ready.wait(30.0)
+        with self._cond:
+            self._workers: List[_Worker] = [
+                self._spawn(index) for index in range(n_workers)
+            ]
+        self._idle: List[int] = list(range(n_workers))
         obs.event("service.prefork.started", n_workers=n_workers)
 
-    # Worker lifecycle (manager thread only) ------------------------------
+    # Worker lifecycle (hold self._cond) ----------------------------------
 
     def _spawn(self, index: int) -> _Worker:
         parent_conn, child_conn = self._context.Pipe(duplex=True)
@@ -261,128 +230,46 @@ class SolverPool:
         child_conn.close()
         return _Worker(process, parent_conn)
 
+    def _replace(self, index: int) -> None:
+        """Swap the dead worker at ``index`` for a fresh one."""
+        obs.counter("service_prefork_worker_deaths_total").inc()
+        dead = self._workers[index]
+        dead.conn.close()
+        dead.process.join(0.1)
+        self._workers[index] = self._spawn(index)
+        obs.counter("service_prefork_worker_respawns_total").inc()
+
     def alive_count(self) -> int:
         return sum(1 for w in self._workers if w.process.is_alive())
 
-    # Manager loop --------------------------------------------------------
+    # Checkout ------------------------------------------------------------
 
-    def _manage(self) -> None:
-        self._workers.extend(
-            self._spawn(index) for index in range(self.n_workers)
-        )
-        self._ready.set()
-        while True:
+    def _checkout(self) -> int:
+        """Take an idle worker, first replacing every idle one that died."""
+        with self._cond:
+            while not self._idle and not self._closed:
+                self._cond.wait()
             if self._closed:
-                self._shutdown_workers()
-                return
-            try:
-                ready = connection.wait(
-                    [w.conn for w in self._workers] + [self._wake_r],
-                    timeout=_WAIT_SECONDS,
-                )
-            except OSError:  # pragma: no cover - wake pipe closed
-                continue
-            for item in ready:
-                if item == self._wake_r:
-                    os.read(self._wake_r, 4096)
-                    continue
-                try:
-                    entry = item.recv()
-                except (EOFError, OSError):
-                    continue  # dead worker; reaped below
-                self._deliver(entry)
-            self._reap_and_respawn()
-            self._drain_inbox()
+                raise ServiceError("solver pool is closed")
+            for index in self._idle:
+                if not self._workers[index].process.is_alive():
+                    self._replace(index)
+            return self._idle.pop(0)
 
-    def _deliver(self, entry: Tuple[int, bool, Any]) -> None:
-        job_id, ok, payload = entry
-        with self._lock:
-            job = self._pending.get(job_id)
-            if job is None or job.event.is_set():
-                return  # duplicate completion after a resubmit
-            job.ok = ok
-            job.payload = payload
-            job.event.set()
-
-    def _reap_and_respawn(self) -> None:
-        """Replace dead workers and requeue their unfinished jobs.
-
-        Solves are pure functions of their request, so re-executing one
-        on another worker is wasted work at worst, never a wrong
-        answer; a duplicate completion (worker answered, then died
-        before we noticed) is ignored by :meth:`_deliver`.
-        """
-        dead = [
-            i for i, w in enumerate(self._workers)
-            if not w.process.is_alive()
-        ]
-        if not dead:
-            return
-        for index in dead:
-            obs.counter("service_prefork_worker_deaths_total").inc()
-            try:
-                self._workers[index].conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-            self._workers[index].process.join(0.1)
-            self._workers[index] = self._spawn(index)
-            obs.counter("service_prefork_worker_respawns_total").inc()
-        dead_set = set(dead)
-        with self._lock:
-            for job_id, job in self._pending.items():
-                if job.event.is_set() or job.worker_index not in dead_set:
-                    continue
-                if job.attempts >= MAX_ATTEMPTS:
-                    job.ok = False
-                    job.payload = (
-                        "ServiceError",
-                        f"solve failed after {MAX_ATTEMPTS} worker deaths",
-                    )
-                    job.event.set()
-                else:
-                    job.worker_index = -1
-                    self._inbox.append(job_id)
-
-    def _drain_inbox(self) -> None:
-        while True:
-            with self._lock:
-                if not self._inbox:
-                    return
-                job_id = self._inbox.popleft()
-                job = self._pending.get(job_id)
-            if job is None or job.event.is_set():
-                continue
-            index = 0
-            for _ in range(len(self._workers)):
-                index = next(self._round_robin) % len(self._workers)
-                if self._workers[index].process.is_alive():
-                    break
-            job.worker_index = index
-            job.attempts += 1
-            try:
-                self._workers[index].conn.send(
-                    (job_id, job.spec, job.values_list, job.trace)
-                )
-            except (BrokenPipeError, OSError):
-                # Died between the liveness check and the send; the
-                # next loop iteration reaps it and requeues this job.
-                pass
-
-    def _shutdown_workers(self) -> None:
-        for worker in self._workers:
-            try:
-                worker.conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-        for worker in self._workers:
-            worker.process.join(5.0)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(2.0)
-            try:
-                worker.conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
+    def _round_trip(
+        self, worker: _Worker, task: Tuple
+    ) -> Optional[Tuple[bool, Any]]:
+        """Send a batch and wait for its reply; ``None`` if the worker died."""
+        try:
+            worker.conn.send(task)
+            while not worker.conn.poll(_WAIT_SECONDS):
+                if self._closed:
+                    raise ServiceError("solver pool is closed")
+                if not worker.process.is_alive():
+                    return None
+            return worker.conn.recv()
+        except (EOFError, OSError):
+            return None
 
     # Public API (any thread) ---------------------------------------------
 
@@ -400,12 +287,6 @@ class SolverPool:
             except Exception:  # noqa: BLE001 - already dead / never started
                 pass
 
-    def _wake(self) -> None:
-        try:
-            os.write(self._wake_w, b"x")
-        except (BlockingIOError, OSError):  # pragma: no cover - full pipe
-            pass
-
     def execute(
         self,
         spec: Tuple,
@@ -421,41 +302,53 @@ class SolverPool:
         the pipe so the worker's ``worker.solve`` span joins the
         request's distributed trace.
         """
-        if self._closed:
-            raise ServiceError("solver pool is closed")
-        job = _PendingJob(spec, list(values_list), trace=trace)
-        with self._lock:
-            job_id = next(self._job_ids)
-            self._pending[job_id] = job
-            self._inbox.append(job_id)
+        task = (spec, list(values_list), trace)
+        index = self._checkout()
         obs.counter("service_prefork_batches_total").inc()
-        self._wake()
         try:
-            job.event.wait()
+            for _ in range(MAX_ATTEMPTS):
+                reply = self._round_trip(self._workers[index], task)
+                if reply is not None:
+                    break
+                # Solves are pure functions of their request, so
+                # resending one to a fresh worker is safe.
+                with self._cond:
+                    self._replace(index)
+            else:
+                raise ServiceError(
+                    f"solve failed after {MAX_ATTEMPTS} worker deaths"
+                )
         finally:
-            with self._lock:
-                self._pending.pop(job_id, None)
-        if not job.ok:
-            type_name, message = job.payload
-            raise _rebuild_exception(type_name, message)
-        return job.payload
+            with self._cond:
+                self._idle.append(index)
+                self._cond.notify_all()
+        ok, payload = reply
+        if not ok:
+            raise _rebuild_exception(*payload)
+        return payload
 
     def close(self) -> None:
-        with self._lock:
+        """Stop every worker; idempotent.
+
+        Callers waiting for a worker raise at once and a caller mid-batch
+        raises within ``_WAIT_SECONDS``, so every worker is back in the
+        idle set before the shutdown below.
+        """
+        with self._cond:
             if self._closed:
                 return
             self._closed = True
-            self._inbox.clear()
-            for job in self._pending.values():
-                if not job.event.is_set():
-                    job.ok = False
-                    job.payload = ("ServiceError", "solver pool closed")
-                    job.event.set()
-        self._wake()
-        self._manager.join(15.0)
-        try:
-            os.close(self._wake_r)
-            os.close(self._wake_w)
-        except OSError:  # pragma: no cover - double close
-            pass
+            self._cond.notify_all()
+            self._cond.wait_for(lambda: len(self._idle) == self.n_workers)
+        for worker in self._workers:
+            try:
+                worker.conn.send(None)
+            except OSError:  # already dead
+                pass
+        for worker in self._workers:
+            worker.process.join(5.0)
+            if worker.process.is_alive():
+                worker.process.terminate()
+                worker.process.join(2.0)
+            worker.conn.close()
         obs.event("service.prefork.stopped", n_workers=self.n_workers)

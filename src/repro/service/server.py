@@ -169,7 +169,7 @@ class _SolveGroup:
         """Solve a batch and return JSON-able result cores.
 
         The core is the serving-independent part of the solve payload;
-        it is what pre-forked workers ship back over the result queue
+        it is what pre-forked workers ship back over their pipes
         (plain dicts of floats, so pickling preserves bits).
         """
         return [_result_core(result) for result in self.solve_many(values_list)]
@@ -806,19 +806,6 @@ def _solve_envelope(
         "abstraction": abstraction,
         **core,
     }
-
-
-def _solve_payload(
-    fingerprint: str,
-    config: JsasConfiguration,
-    method: str,
-    abstraction: str,
-    result: HierarchicalResult,
-) -> Dict[str, Any]:
-    """Full solve response straight from a :class:`HierarchicalResult`."""
-    return _solve_envelope(
-        fingerprint, config, method, abstraction, _result_core(result)
-    )
 
 
 class AvailabilityServer(HttpFront):

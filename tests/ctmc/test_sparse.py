@@ -212,6 +212,16 @@ class TestDispatchAndDiagnostics:
         with pytest.raises(SolverError, match="unknown"):
             steady_state_vector(generator, method="cholesky")
 
+    def test_rejected_method_is_not_counted_as_a_solve(self):
+        generator = build_generator(build_appserver_model(4), paper_values())
+        with obs.observe() as recorder:
+            with pytest.raises(SolverError, match="unknown"):
+                steady_state_vector(generator, method="cholesky")
+            solves = recorder.metrics.counter(
+                "ctmc_steady_state_solves_total", method="cholesky"
+            )
+            assert solves.value == 0
+
     def test_banded_method_requires_structure(self):
         """A long chord away from column 0 breaks the band."""
         model = MarkovModel("chord")

@@ -1,5 +1,8 @@
 """Unit tests for the recorder: spans, events, and the global API."""
 
+import sys
+import threading
+
 import pytest
 
 from repro import obs
@@ -60,6 +63,75 @@ class TestSpans:
         with recorder.span("next"):
             pass
         assert recorder.records[-1]["parent_id"] is None
+
+
+class TestThreadedSpans:
+    def test_interleaved_threads_keep_separate_stacks(self):
+        """Thread A opens ``a``, thread B opens ``b``, then ``a`` closes
+        before ``b``: out of order on one shared stack.  Neither span may
+        parent the other, a later span on a third thread is a root, and
+        no id stays on any stack."""
+        recorder = Recorder()
+        a_open, b_open, a_closed = (threading.Event() for _ in range(3))
+        leftovers = {}
+
+        def first():
+            with recorder.span("a"):
+                a_open.set()
+                b_open.wait(5.0)
+            a_closed.set()
+            leftovers["a"] = list(recorder._stack.ids)
+
+        def second():
+            a_open.wait(5.0)
+            with recorder.span("b"):
+                b_open.set()
+                a_closed.wait(5.0)
+            leftovers["b"] = list(recorder._stack.ids)
+
+        def third():
+            with recorder.span("c"):
+                pass
+            leftovers["c"] = list(recorder._stack.ids)
+
+        pair = [threading.Thread(target=f) for f in (first, second)]
+        for thread in pair:
+            thread.start()
+        for thread in pair:
+            thread.join(10.0)
+            assert not thread.is_alive()
+        later = threading.Thread(target=third)
+        later.start()
+        later.join(10.0)
+        assert not later.is_alive()
+        spans = {record["name"]: record for record in recorder.records}
+        assert spans["a"]["parent_id"] is None
+        assert spans["b"]["parent_id"] is None
+        assert spans["c"]["parent_id"] is None
+        assert leftovers == {"a": [], "b": [], "c": []}
+        assert recorder._stack.ids == []
+
+    def test_span_ids_unique_across_threads(self):
+        recorder = Recorder()
+
+        def open_spans():
+            for _ in range(200):
+                with recorder.span("s"):
+                    pass
+
+        threads = [threading.Thread(target=open_spans) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        ids = [record["span_id"] for record in recorder.records]
+        assert len(ids) == len(set(ids)) == 800
 
 
 class TestEvents:

@@ -2,7 +2,9 @@
 
 import json
 import os
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -189,6 +191,135 @@ class TestRecovery:
                 pool.execute((1, 2), [{}])
         finally:
             pool.close()
+
+
+class _SlowGroup:
+    """Stands in for a solve group: marks that a batch started, sleeps,
+    then echoes each request's ``x``."""
+
+    def __init__(self, marker, seconds):
+        self.marker = marker
+        self.seconds = seconds
+
+    def solve_cores(self, values_list):
+        with open(self.marker, "a"):
+            pass
+        time.sleep(self.seconds)
+        return [{"x": values["x"]} for values in values_list]
+
+
+def _slow_pool(monkeypatch, marker, seconds):
+    """A one-worker pool whose every batch is a :class:`_SlowGroup`."""
+    import repro.service.prefork as prefork_mod
+
+    # Forked workers inherit the patched module.
+    monkeypatch.setattr(
+        prefork_mod,
+        "_group_from_spec",
+        lambda spec: _SlowGroup(str(marker), seconds),
+    )
+    return SolverPool(1)
+
+
+def _wait_for(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.01)
+
+
+class TestCheckout:
+    def test_concurrent_callers_bit_identical_to_in_process(self):
+        from repro.models.jsas import CONFIG_1, PAPER_PARAMETERS
+        from repro.service.server import _SolveGroup
+
+        base = CONFIG_1.merged_values(PAPER_PARAMETERS.to_dict())
+        group = _SolveGroup(CONFIG_1, "auto", "mttf", tuple(sorted(base)))
+        # 8 callers x 4 batches of 1-4 points each, all distinct.
+        batches = [
+            [
+                dict(base, La_as=20.0 + caller + step / 10.0 + k / 100.0)
+                for k in range(1 + step)
+            ]
+            for caller in range(8)
+            for step in range(4)
+        ]
+        expected = [
+            json.dumps(group.solve_cores(batch), sort_keys=True)
+            for batch in batches
+        ]
+        pool = SolverPool(2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            def caller(index):
+                return [
+                    json.dumps(
+                        pool.execute(group.key(), batches[index * 4 + step]),
+                        sort_keys=True,
+                    )
+                    for step in range(4)
+                ]
+
+            with ThreadPoolExecutor(max_workers=8) as threads:
+                served = [
+                    payload
+                    for payloads in threads.map(caller, range(8))
+                    for payload in payloads
+                ]
+            # Every worker came back exactly once.
+            assert sorted(pool._idle) == [0, 1]
+        finally:
+            sys.setswitchinterval(interval)
+            pool.close()
+        assert served == expected
+
+    def test_sigkill_mid_batch_while_a_caller_waits(
+        self, monkeypatch, tmp_path
+    ):
+        from repro import obs
+
+        marker = tmp_path / "started"
+        with obs.observe() as recorder:
+            pool = _slow_pool(monkeypatch, marker, seconds=0.5)
+            try:
+                with ThreadPoolExecutor(max_workers=2) as threads:
+                    busy = threads.submit(pool.execute, ("s",), [{"x": 1.0}])
+                    _wait_for(marker.exists)
+                    waiting = threads.submit(
+                        pool.execute, ("s",), [{"x": 2.0}]
+                    )
+                    time.sleep(0.1)
+                    assert not waiting.done()
+                    os.kill(pool._workers[0].process.pid, 9)
+                    assert busy.result(timeout=10.0) == [{"x": 1.0}]
+                    assert waiting.result(timeout=10.0) == [{"x": 2.0}]
+            finally:
+                pool.close()
+        respawns = recorder.metrics.counter(
+            "service_prefork_worker_respawns_total"
+        )
+        assert respawns.value == 1
+
+    def test_close_with_callers_mid_batch_and_waiting(
+        self, monkeypatch, tmp_path
+    ):
+        marker = tmp_path / "started"
+        pool = _slow_pool(monkeypatch, marker, seconds=1.0)
+        with ThreadPoolExecutor(max_workers=2) as threads:
+            busy = threads.submit(pool.execute, ("s",), [{"x": 1.0}])
+            _wait_for(marker.exists)
+            waiting = threads.submit(pool.execute, ("s",), [{"x": 2.0}])
+            time.sleep(0.1)
+            started = time.monotonic()
+            pool.close()
+            for future in (busy, waiting):
+                try:
+                    future.result(timeout=10.0)
+                except ServiceError as exc:
+                    assert "closed" in str(exc)
+            assert time.monotonic() - started < 10.0
+        assert pool.alive_count() == 0
 
 
 class TestPoolLifecycle:

@@ -240,6 +240,30 @@ class TestServiceCore:
         assert status == 500
         assert "ZeroDivisionError" in payload["error"]
 
+    def test_concurrent_handles_leave_no_open_span(self, service):
+        """Request threads and dispatch threads open spans at once; once
+        the storm is over, a new span on any thread is a root span."""
+        from repro import obs
+
+        def solve_then_open_span(offset):
+            for step in range(25):
+                status, _, _ = service.handle(
+                    "/v1/solve",
+                    {"parameters": {"La_as": 20.0 + offset + step / 100.0}},
+                )
+                assert status == 200
+            with obs.span("after") as span:
+                pass
+            return span.parent_id
+
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            parents = list(pool.map(solve_then_open_span, range(8)))
+        assert parents == [None] * 8
+        with obs.span("after") as span:
+            pass
+        assert span.parent_id is None
+        assert service._recorder._stack.ids == []
+
     def test_close_restores_recorder(self):
         from repro import obs
         from repro.obs.recorder import NULL_RECORDER
