@@ -9,7 +9,8 @@
   and the banded solve's two paths (C GTH, LAPACK band-LU) against the
   reference GTH on the N-instance AS chain, plus the scalar
   ``steady_state_vector(method="banded")`` call that runs the same
-  kernel on one generator.
+  kernel on one generator, and the dense GTH kernel (what ``auto``
+  runs below the banded cutover) at the cutover size.
 """
 
 import functools
@@ -32,6 +33,7 @@ from repro.ctmc.sparse import gth_banded_batch
 from repro.ctmc.steady_state import _gth_reference
 from repro.kernels import cext
 from repro.kernels.banded import banded_kernel_plan, banded_steady_state
+from repro.kernels.dense import dense_gth, dense_kernel_plan
 from repro.models.jsas import (
     CONFIG_1,
     PAPER_PARAMETERS,
@@ -126,7 +128,10 @@ def run_solver_comparison():
 BANDED_INSTANCES = (11, 64, 256)
 BANDED_SAMPLES = (1, 100)
 BANDED_REPS = 7
-BANDED_PATHS = ("C GTH", "LAPACK band-LU", "reference GTH", "scalar banded")
+BANDED_PATHS = (
+    "C GTH", "LAPACK band-LU", "reference GTH", "scalar banded",
+    "dense GTH kernel",
+)
 
 
 def _median_ms(run) -> float:
@@ -147,6 +152,9 @@ def run_banded_paths(monkeypatch):
     does; the C rows are left out on a host that cannot build it.  The
     "scalar banded" row (one sample only) times a scalar solve of the
     first sweep point's generator, on whichever path the host takes.
+    The "dense GTH kernel" row (the smallest N only: a dense work matrix
+    is O(n^2) memory per sample) times the dense kernel on the same
+    rates, on whichever path the host takes.
     """
     paths = BANDED_PATHS if cext.load() is not None else BANDED_PATHS[1:]
     rows = []
@@ -181,6 +189,12 @@ def run_banded_paths(monkeypatch):
                     )
                 elif path == "reference GTH":
                     run = functools.partial(gth_banded_batch, structure, rates)
+                elif path == "dense GTH kernel":
+                    if n != BANDED_INSTANCES[0]:
+                        continue
+
+                    def run(plan=dense_kernel_plan(compiled), rates=rates):
+                        return dense_gth(plan, rates, mttf=False)[0]
                 else:
                     run = functools.partial(
                         banded_steady_state,
@@ -220,7 +234,8 @@ def test_bench_solver_agreement(benchmark, save_artifact, monkeypatch):
             for n, states, k, path, ms, err in banded
         ],
         title=(
-            "Banded steady-state paths on build_appserver_model(N), "
+            "Banded steady-state paths and the dense GTH kernel on "
+            "build_appserver_model(N), "
             f"Tstart_long_as sweep (median of {BANDED_REPS})"
         ),
     )

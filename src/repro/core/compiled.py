@@ -183,8 +183,8 @@ class CompiledModel:
             # A scalar-only sub-expression divided by zero; re-raise the
             # authentic per-expression error.
             self._raise_expression_error(columns)
-        finite = np.isfinite(out)
-        if not finite.all() or (out < 0.0).any():
+        # min() is nan when any rate is: every invalid rate fails this.
+        if not (out.min() >= 0.0 and out.max() < np.inf):
             self._raise_invalid_rate(out, columns)
         return out
 

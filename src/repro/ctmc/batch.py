@@ -11,18 +11,20 @@ model and parameter columns it:
   once per sample) with results cached on the compiled model — a sampled
   rate hitting exactly 0 changes the pattern and therefore gets its own
   classification, so feature-switch-off parameterizations stay correct,
-* solves all steady-state systems with one stacked LU
-  (``numpy.linalg.solve`` on the whole batch), falling back to the
-  subtraction-free GTH elimination per sample for stiff chains when
-  ``method="auto"`` is selected,
+* solves all steady-state systems of a dense ``"gth"`` / ``"auto"``
+  batch in one call of the dense GTH kernel
+  (:mod:`repro.kernels.dense`), which also returns the (Lambda, Mu)
+  interface, or with one stacked LU (``numpy.linalg.solve`` on the
+  whole batch) under ``"direct"``,
 * mirrors the scalar reward pipeline (availability, equivalent
   (Lambda, Mu) rates, yearly downtime, MTBF/MTTR) element-wise.
 
-For ``method="direct"`` the arithmetic is *bit-identical* to the scalar
-path on arithmetic-only rate expressions: the stacked LAPACK solves and
-reductions perform the same operations per sample as the scalar solver.
-The property tests in ``tests/ctmc/test_batch.py`` enforce exact
-equality on random chains and on the paper's models.
+The arithmetic is *bit-identical* to the scalar path on arithmetic-only
+rate expressions: scalar ``"gth"`` / ``"auto"`` run the same kernel on
+one generator's arcs, and under ``"direct"`` the stacked LAPACK solves
+and reductions perform the same operations per sample as the scalar
+solver.  The property tests in ``tests/ctmc/test_batch.py`` enforce
+exact equality on random chains and on the paper's models.
 
 **Large state spaces.**  The dense stack is O(n^2) memory per sample, so
 models at or above :data:`~repro.ctmc.generator.SPARSE_THRESHOLD` states
@@ -59,16 +61,19 @@ from repro.ctmc.sparse import (
     detect_banded_structure,
 )
 from repro.kernels.banded import banded_kernel_plan, banded_steady_state
-from repro.ctmc.steady_state import _gth_reference, steady_state_vector
+from repro.kernels.dense import dense_gth, dense_kernel_plan
+from repro.ctmc.rewards import _equivalent_rates
+from repro.ctmc.steady_state import _solve, steady_state_vector
 from repro.ctmc.structure import classify_states
 from repro.exceptions import SolverError, StructureError
 from repro.units import unavailability_to_yearly_downtime_minutes
 
 ModelLike = Union[MarkovModel, CompiledModel]
 
-#: Methods accepted by the batch solvers.  "direct", "gth" and "auto"
-#: keep their dense-path semantics below SPARSE_THRESHOLD; "banded" and
-#: "sparse" force a structured engine at any size.
+#: Methods accepted by the batch solvers.  "direct" and "gth" keep their
+#: dense-path semantics below SPARSE_THRESHOLD, where "auto" is "gth"
+#: unless the banded cutover applies; "banded" and "sparse" force a
+#: structured engine at any size.
 BATCH_METHODS = ("direct", "gth", "auto", "banded", "sparse")
 
 
@@ -270,17 +275,13 @@ def _stacked_direct(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 def _finalize_block(
     pis: np.ndarray,
-    mats: np.ndarray,
     solved: np.ndarray,
-    method: str,
     model_name: str,
     sample_ids: np.ndarray,
 ) -> np.ndarray:
-    """Validate, clip and renormalize a block of solved vectors.
+    """Validate, clip and renormalize a block of LU-solved vectors.
 
-    Mirrors the scalar ``_check_probability_vector`` checks per sample;
-    with ``method="auto"`` a failing sample is re-solved with the
-    subtraction-free GTH elimination instead of raising.
+    Mirrors the scalar ``_check_probability_vector`` checks per sample.
     """
     tol = 1e-8
     finite = np.isfinite(pis).all(axis=1)
@@ -293,17 +294,7 @@ def _finalize_block(
     )
     bad = np.flatnonzero(~ok)
     if bad.size:
-        if method == "auto":
-            if obs.enabled():
-                obs.counter("ctmc_gth_fallbacks_total").inc(int(bad.size))
-                obs.event(
-                    "ctmc.gth_fallback",
-                    model=model_name,
-                    n_samples=int(bad.size),
-                )
-            for s in bad:
-                pis[s] = _gth_reference(mats[s])
-        elif not solved[bad[0]]:
+        if not solved[bad[0]]:
             raise SolverError(
                 f"steady-state system is singular for model {model_name!r} "
                 f"(sample {int(sample_ids[bad[0]])})"
@@ -323,10 +314,9 @@ def _solve_group(
     compiled: CompiledModel,
     mats: np.ndarray,
     info: PatternStructure,
-    method: str,
     sample_ids: np.ndarray,
 ) -> np.ndarray:
-    """Steady-state vectors for one zero-pattern group of samples."""
+    """Stacked-LU steady-state vectors for one zero-pattern group."""
     k, n, _ = mats.shape
     if info.n_recurrent_classes != 1:
         raise StructureError(
@@ -336,14 +326,8 @@ def _solve_group(
             f"(sample {int(sample_ids[0])})"
         )
     if info.covers_all:
-        if method == "gth":
-            pis = np.stack([_gth_reference(mats[s]) for s in range(k)])
-            solved = np.ones(k, dtype=bool)
-        else:
-            pis, solved = _stacked_direct(mats)
-        return _finalize_block(
-            pis, mats, solved, method, compiled.model_name, sample_ids
-        )
+        pis, solved = _stacked_direct(mats)
+        return _finalize_block(pis, solved, compiled.model_name, sample_ids)
     # A unique stationary distribution still exists: zero mass on the
     # transient states, solve within the recurrent class.
     recurrent = info.recurrent_idx
@@ -353,33 +337,85 @@ def _solve_group(
         full[:, recurrent[0]] = 1.0
         return full
     blocks = mats[:, recurrent[:, None], recurrent[None, :]]
-    if method == "gth":
-        pis = np.stack([_gth_reference(blocks[s]) for s in range(k)])
-        solved = np.ones(k, dtype=bool)
-    else:
-        pis, solved = _stacked_direct(blocks)
-    pis = _finalize_block(
-        pis, blocks, solved, method, compiled.model_name, sample_ids
+    pis, solved = _stacked_direct(blocks)
+    full[:, recurrent] = _finalize_block(
+        pis, solved, compiled.model_name, sample_ids
     )
-    full[:, recurrent] = pis
     return full
 
 
 def _grouped_steady_state(
-    compiled: CompiledModel,
-    rates: np.ndarray,
-    mats: np.ndarray,
-    method: str,
+    compiled: CompiledModel, rates: np.ndarray, mats: np.ndarray
 ) -> np.ndarray:
-    """Solve every sample, grouping the batch by transition zero-pattern."""
+    """Stacked-LU solve of every sample, grouped by zero-pattern."""
     k = mats.shape[0]
     pis = np.empty((k, compiled.n_states))
     for pattern, members in _pattern_groups(compiled.n_transitions, rates):
         info = pattern_structure(compiled, pattern)
-        pis[members] = _solve_group(
-            compiled, mats[members], info, method, members
-        )
+        pis[members] = _solve_group(compiled, mats[members], info, members)
     return pis
+
+
+def _kernel_solve(
+    compiled: CompiledModel, rates: np.ndarray, abstraction: Optional[str]
+) -> Tuple[np.ndarray, ...]:
+    """``(pis, lam, mu, p_up, p_down)`` from the dense GTH kernel.
+
+    One kernel call answers the batch.  A sample with a rate at exactly
+    0 (its chain may be reducible), or one the kernel flags, is handed
+    to the scalar library on its own generator — the same kernel after
+    the library's structural checks — so its result, or its error, is
+    the scalar path's whatever else shares the batch.  A model whose
+    all-positive pattern is itself reducible hands over every sample.
+    With ``abstraction=None`` only ``pis`` is meaningful.
+    """
+    k = rates.shape[0]
+    mttf = abstraction == "mttf"
+    if _all_positive_regular(compiled):
+        pis, lam, mu, status, p_up, p_down = dense_gth(
+            dense_kernel_plan(compiled), rates, mttf
+        )
+        irregular = np.flatnonzero(status) if status.any() else ()
+    else:
+        pis = np.empty((k, compiled.n_states))
+        lam, mu, p_up, p_down = (np.empty(k) for _ in range(4))
+        irregular = np.arange(k)
+    for s in irregular:
+        generator = GeneratorMatrix(
+            matrix=compiled.generator_batch(rates[s: s + 1])[0],
+            state_names=compiled.state_names,
+            rewards=compiled.rewards.copy(),
+            model_name=compiled.model_name,
+        )
+        try:
+            pis[s], resolved, interface = _solve(generator, "gth", mttf=mttf)
+            if interface is None and abstraction is not None:
+                interface = _equivalent_rates(
+                    generator, pis[s], resolved, None, abstraction
+                ) + _masses(generator.up_mask(), pis[s])
+        except (SolverError, StructureError) as exc:
+            raise type(exc)(f"{exc} (sample {int(s)})") from exc
+        if interface is not None:
+            lam[s], mu[s], p_up[s], p_down[s] = interface
+    return pis, lam, mu, p_up, p_down
+
+
+def _all_positive_regular(compiled: CompiledModel) -> bool:
+    """Whether the all-positive pattern is irreducible.
+
+    Classified once per compiled model; every later solve reuses the
+    verdict, and counts as a pattern-cache hit.
+    """
+    cache = compiled.solver_cache
+    regular = cache.get("dense_regular")
+    if regular is None:
+        pattern = np.ones(compiled.n_transitions, dtype=bool)
+        regular = cache["dense_regular"] = pattern_structure(
+            compiled, pattern
+        ).covers_all
+    else:
+        obs.counter("ctmc_pattern_cache_total", outcome="hit").inc()
+    return regular  # type: ignore[return-value]
 
 
 # Structured / sparse engines -----------------------------------------------
@@ -423,12 +459,13 @@ def _upblock_solver_of(compiled: CompiledModel) -> SparseUpBlockSolver:
 def _resolve_engine(compiled: CompiledModel, method: str) -> str:
     """Map a requested method to the engine that will actually run.
 
-    Returns one of ``"direct"``, ``"gth"``, ``"auto"`` (dense stacked
-    paths) or ``"banded"``, ``"sparse"`` (structured engines).  Dense
-    methods on models at or above SPARSE_THRESHOLD states are redirected
-    to a structured engine — mirroring the scalar path, which switches
-    to sparse assembly at the same size — instead of materializing an
-    O(n^2)-per-sample dense stack.
+    Returns one of ``"direct"`` (stacked LU), ``"gth"`` (the dense
+    kernel; ``"auto"`` below the cutover) or ``"banded"``, ``"sparse"``
+    (structured engines).  Dense methods on models at or above
+    SPARSE_THRESHOLD states are redirected to a structured engine —
+    mirroring the scalar path, which switches to sparse assembly at the
+    same size — instead of materializing an O(n^2)-per-sample dense
+    stack.
     """
     if method not in BATCH_METHODS:
         raise SolverError(
@@ -450,7 +487,7 @@ def _resolve_engine(compiled: CompiledModel, method: str) -> str:
             return "banded"
         if n >= SPARSE_THRESHOLD:
             return "sparse"
-        return "auto"
+        return "gth"
     if method == "banded":
         if banded_structure_of(compiled) is None:
             raise SolverError(
@@ -550,10 +587,47 @@ def _structured_steady_state(
     return pis
 
 
+def _masses(up: np.ndarray, pis: np.ndarray) -> Tuple:
+    """Up and down mass of solved vectors (one vector gives scalars)."""
+    # ascontiguousarray before reducing: mixed basic/advanced indexing
+    # returns F-ordered copies whose strided row sums accumulate in a
+    # different order than the scalar path's contiguous sums (ulp drift).
+    p_up = np.ascontiguousarray(pis[..., up]).sum(axis=-1)
+    if up.all():
+        return p_up, np.zeros_like(p_up)
+    return p_up, np.ascontiguousarray(pis[..., ~up]).sum(axis=-1)
+
+
+def _require_interface(
+    compiled: CompiledModel, p_up: np.ndarray, abstraction: str
+) -> bool:
+    """Check the (Lambda, Mu) preconditions; False without a down set."""
+    if not compiled.up_idx.size:
+        raise StructureError(
+            f"model {compiled.model_name!r} has no up states"
+        )
+    if not compiled.down_idx.size:
+        return False
+    never_up = np.flatnonzero(p_up <= 0.0) if p_up.min() <= 0.0 else ()
+    if len(never_up):
+        raise StructureError(
+            f"model {compiled.model_name!r} is never up in steady state "
+            f"(sample {int(never_up[0])})"
+        )
+    if abstraction == "mttf" and not compiled.up_mask[0]:
+        raise StructureError(
+            f"model {compiled.model_name!r} starts in a down state; "
+            "the MTTF abstraction requires an up initial state"
+        )
+    return True
+
+
 def _structured_equivalent_rates(
     compiled: CompiledModel,
     rates: np.ndarray,
     pis: np.ndarray,
+    p_up: np.ndarray,
+    p_down: np.ndarray,
     abstraction: str,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Equivalent (Lambda, Mu) rates without dense generator stacks.
@@ -565,23 +639,6 @@ def _structured_equivalent_rates(
     """
     k = rates.shape[0]
     up = compiled.up_mask
-    up_idx, down_idx = compiled.up_idx, compiled.down_idx
-    if not up_idx.size:
-        raise StructureError(
-            f"model {compiled.model_name!r} has no up states"
-        )
-    if not down_idx.size:
-        return np.zeros(k), np.full(k, np.inf)
-
-    p_up = np.ascontiguousarray(pis[:, up]).sum(axis=1)
-    p_down = np.ascontiguousarray(pis[:, ~up]).sum(axis=1)
-    never_up = np.flatnonzero(p_up <= 0.0)
-    if never_up.size:
-        raise StructureError(
-            f"model {compiled.model_name!r} is never up in steady state "
-            f"(sample {int(never_up[0])})"
-        )
-
     src, tgt = compiled.transition_sources, compiled.transition_targets
     ud = up[src] & ~up[tgt]
     if ud.any():
@@ -592,11 +649,6 @@ def _structured_equivalent_rates(
         flow_down = np.zeros(k)
 
     if abstraction == "mttf":
-        if not up[0]:
-            raise StructureError(
-                f"model {compiled.model_name!r} starts in a down state; "
-                "the MTTF abstraction requires an up initial state"
-            )
         lam = np.zeros(k)
         need = np.flatnonzero(flow_down > 0.0)
         if need.size:
@@ -653,14 +705,13 @@ def batch_steady_state(
         n_samples: Number of samples; inferred from the first array
             column when omitted.
         method: ``"direct"`` (stacked LU; raises on failure exactly like
-            the scalar solver), ``"gth"`` (per-sample subtraction-free
-            elimination), ``"auto"`` (stacked LU with per-sample GTH
-            fallback, switching to the banded engine for medium/large
-            banded models), ``"banded"`` (force the batched banded GTH;
-            raises when the model has no banded-plus-spike structure) or
-            ``"sparse"`` (force the pattern-reusing sparse LU).  Dense
-            methods on models at or above SPARSE_THRESHOLD states are
-            transparently redirected to a structured engine.
+            the scalar solver), ``"gth"`` (the dense GTH kernel),
+            ``"auto"`` (``"gth"``, switching to the banded engine for
+            medium/large banded models), ``"banded"`` (force the batched
+            banded GTH; raises when the model has no banded-plus-spike
+            structure) or ``"sparse"`` (force the pattern-reusing sparse
+            LU).  Dense methods on models at or above SPARSE_THRESHOLD
+            states are transparently redirected to a structured engine.
 
     Returns:
         ``(n_samples, n_states)`` array of stationary vectors in the
@@ -676,8 +727,10 @@ def batch_steady_state(
         rates = compiled.rate_matrix(values, n_samples)
         if engine in ("banded", "sparse"):
             return _structured_steady_state(compiled, rates, engine)
+        if engine == "gth":
+            return _kernel_solve(compiled, rates, None)[0]
         mats = compiled.generator_batch(rates, allow_dense=True)
-        return _grouped_steady_state(compiled, rates, mats, engine)
+        return _grouped_steady_state(compiled, rates, mats)
 
 
 @dataclass(frozen=True)
@@ -735,41 +788,37 @@ def batch_availability(
         engine = _resolve_engine(compiled, method)
         span.set(engine=engine, n_samples=n_samples)
         rates = compiled.rate_matrix(values, n_samples)
-        if engine in ("banded", "sparse"):
-            pis = _structured_steady_state(compiled, rates, engine)
-            lam, mu = _structured_equivalent_rates(
-                compiled, rates, pis, abstraction
+        if engine == "gth":
+            pis, lam, mu, p_up, unavailability = _kernel_solve(
+                compiled, rates, abstraction
             )
         else:
-            mats = compiled.generator_batch(rates, allow_dense=True)
-            pis = _grouped_steady_state(compiled, rates, mats, engine)
-            lam, mu = _batch_equivalent_rates(
-                compiled, rates, mats, pis, engine, abstraction
+            if engine in ("banded", "sparse"):
+                pis = _structured_steady_state(compiled, rates, engine)
+            else:
+                mats = compiled.generator_batch(rates, allow_dense=True)
+                pis = _grouped_steady_state(compiled, rates, mats)
+            p_up, unavailability = _masses(compiled.up_mask, pis)
+        if not _require_interface(compiled, p_up, abstraction):
+            lam, mu = np.zeros(n_samples), np.full(n_samples, np.inf)
+        elif engine in ("banded", "sparse"):
+            lam, mu = _structured_equivalent_rates(
+                compiled, rates, pis, p_up, unavailability, abstraction
             )
-    k = n_samples
-
-    up = compiled.up_mask
-    up_idx, down_idx = compiled.up_idx, compiled.down_idx
-    # ascontiguousarray before reducing: mixed basic/advanced indexing
-    # returns F-ordered copies whose strided row sums accumulate in a
-    # different order than the scalar path's contiguous sums (ulp drift).
-    p_up = np.ascontiguousarray(pis[:, up]).sum(axis=1)
-    availability = np.minimum(1.0, np.maximum(0.0, p_up))
-    if down_idx.size:
-        unavailability = np.ascontiguousarray(pis[:, ~up]).sum(axis=1)
-    else:
-        unavailability = np.zeros(k)
-
+        elif engine == "direct":
+            lam, mu = _batch_equivalent_rates(
+                compiled, rates, mats, pis, p_up, unavailability,
+                abstraction,
+            )
+    # Both rates are >= 0, so the IEEE reciprocal is the scalar path's
+    # MTBF / MTTR: inf for a zero rate and 0 for an infinite one.
     with np.errstate(divide="ignore"):
-        mtbf = np.where(lam > 0.0, 1.0 / lam, np.inf)
-        mttr = np.where(
-            mu == np.inf, 0.0, np.where(mu == 0.0, np.inf, 1.0 / mu)
-        )
+        mtbf, mttr = 1.0 / lam, 1.0 / mu
     return BatchAvailability(
         state_names=compiled.state_names,
-        up_mask=up.copy(),
+        up_mask=compiled.up_mask.copy(),
         pis=pis,
-        availability=availability,
+        availability=np.minimum(1.0, np.maximum(0.0, p_up)),
         unavailability=unavailability,
         yearly_downtime_minutes=unavailability_to_yearly_downtime_minutes(
             unavailability
@@ -786,28 +835,15 @@ def _batch_equivalent_rates(
     rates: np.ndarray,
     mats: np.ndarray,
     pis: np.ndarray,
-    method: str,
+    p_up: np.ndarray,
+    p_down: np.ndarray,
     abstraction: str,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`~repro.ctmc.rewards.equivalent_failure_recovery_rates`."""
+    """Stacked-LU :func:`~repro.ctmc.rewards.equivalent_failure_recovery_rates`
+    (the ``"direct"`` semantics: ``Q_UU m = -1``, flow rate fallback)."""
     k = mats.shape[0]
     up = compiled.up_mask
     up_idx, down_idx = compiled.up_idx, compiled.down_idx
-    if not up_idx.size:
-        raise StructureError(
-            f"model {compiled.model_name!r} has no up states"
-        )
-    if not down_idx.size:
-        return np.zeros(k), np.full(k, np.inf)
-
-    p_up = np.ascontiguousarray(pis[:, up]).sum(axis=1)
-    p_down = np.ascontiguousarray(pis[:, ~up]).sum(axis=1)
-    never_up = np.flatnonzero(p_up <= 0.0)
-    if never_up.size:
-        raise StructureError(
-            f"model {compiled.model_name!r} is never up in steady state "
-            f"(sample {int(never_up[0])})"
-        )
 
     # flow_down[s] = pi_up . (row sums of the up->down block), exactly
     # the scalar path's contraction (per-sample BLAS dot for bit parity;
@@ -822,11 +858,6 @@ def _batch_equivalent_rates(
         flow_down[s] = np.dot(pis_up[s], w_down[s])
 
     if abstraction == "mttf":
-        if not up[0]:
-            raise StructureError(
-                f"model {compiled.model_name!r} starts in a down state; "
-                "the MTTF abstraction requires an up initial state"
-            )
         lam = np.zeros(k)
         need = np.flatnonzero(flow_down > 0.0)
         if need.size:

@@ -29,6 +29,12 @@ With the ``"flow"`` variant the identity ``A = Mu / (Lambda + Mu)`` holds
 exactly; with ``"mttf"`` it is the standard hierarchical approximation,
 accurate to O(unavailability) for highly available systems — the paper's
 Table 2/3 values are reproduced with ``"mttf"``.
+
+Under the ``"gth"`` method (and ``"auto"`` on dense chains below the
+banded cutover) the MTTF comes from the dense kernel's renewal closure
+(:mod:`repro.kernels.dense`), which never subtracts; ``"direct"`` and
+the banded engine solve ``Q_UU m = -1`` and fall back to the flow rate
+when that system is numerically singular.
 """
 
 from __future__ import annotations
@@ -40,8 +46,15 @@ import numpy as np
 
 from repro.core.model import MarkovModel
 from repro.ctmc.generator import GeneratorMatrix, as_generator
-from repro.ctmc.steady_state import steady_state_vector
+from repro.ctmc.sparse import _generator_coo
+from repro.ctmc.steady_state import (
+    Interface,
+    _resolve_method,
+    _solve,
+    steady_state_vector,
+)
 from repro.exceptions import SolverError, StructureError
+from repro.kernels.dense import DenseKernelPlan, dense_gth
 from repro.units import unavailability_to_yearly_downtime_minutes
 
 
@@ -120,13 +133,34 @@ def equivalent_failure_recovery_rates(
         StructureError: If the stationary probability of the up set is
             zero (the model is never up — Lambda is undefined).
     """
+    _check_abstraction(abstraction)
+    generator = as_generator(model_or_generator, values)
+    interface: Interface = None
+    if pi is None:
+        pi, resolved, interface = _solve(
+            generator, method, mttf=abstraction == "mttf"
+        )
+    else:
+        resolved = _resolve_method(generator, method)[0]
+    return _equivalent_rates(generator, pi, resolved, interface, abstraction)
+
+
+def _check_abstraction(abstraction: str) -> None:
     if abstraction not in ("mttf", "flow"):
         raise SolverError(
             f"unknown abstraction {abstraction!r}; expected 'mttf' or 'flow'"
         )
-    generator = as_generator(model_or_generator, values)
-    if pi is None:
-        pi = steady_state_vector(generator, method=method)
+
+
+def _equivalent_rates(
+    generator: GeneratorMatrix,
+    pi: np.ndarray,
+    resolved: str,
+    interface: Interface,
+    abstraction: str,
+) -> Tuple[float, float]:
+    """(Lambda, Mu) from a solved vector; ``interface`` when the kernel
+    already computed them."""
     up = generator.up_mask()
     if not up.any():
         raise StructureError(
@@ -134,13 +168,20 @@ def equivalent_failure_recovery_rates(
         )
     if up.all():
         return 0.0, float("inf")
-    q = generator.dense()
     p_up = float(pi[up].sum())
     p_down = float(pi[~up].sum())
     if p_up <= 0.0:
         raise StructureError(
             f"model {generator.model_name!r} is never up in steady state"
         )
+    if abstraction == "mttf" and not up[0]:
+        raise StructureError(
+            f"model {generator.model_name!r} starts in a down state; "
+            "the MTTF abstraction requires an up initial state"
+        )
+    if interface is not None:
+        return interface[0], interface[1]
+    q = generator.dense()
     flow_down = float(pi[up] @ q[np.ix_(up, ~up)].sum(axis=1))
     if abstraction == "mttf":
         # Deferred import: absorption depends on generator/structure only.
@@ -152,13 +193,10 @@ def equivalent_failure_recovery_rates(
             if not is_up
         ]
         initial = generator.state_names[0]
-        if initial in down_names:
-            raise StructureError(
-                f"model {generator.model_name!r} starts in a down state; "
-                "the MTTF abstraction requires an up initial state"
-            )
         if flow_down <= 0.0:
             lam = 0.0
+        elif resolved == "gth":
+            lam = _renewal_failure_rate(generator, up, down_names)
         else:
             try:
                 mttf = mean_time_to_absorption(generator, down_names)[initial]
@@ -178,6 +216,52 @@ def equivalent_failure_recovery_rates(
     return lam, mu
 
 
+def _renewal_failure_rate(
+    generator: GeneratorMatrix, up: np.ndarray, down_names
+) -> float:
+    """``1 / MTTF`` from the initial state by the renewal closure.
+
+    The dense kernel's closure (:mod:`repro.kernels.dense`) built
+    explicitly, for chains whose stationary vector came from a
+    recurrent-class restriction: the down set collapses into one state A
+    that returns to the initial state at rate 1, and Lambda is the flow
+    rate into A in that chain.
+    """
+    from repro.ctmc.absorption import _require_targets_reachable
+
+    names = generator.state_names
+    _require_targets_reachable(
+        generator, [n for n, is_up in zip(names, up) if is_up],
+        set(down_names),
+    )
+    sources, targets, rates = _generator_coo(generator)
+    n_up = int(up.sum())
+    position = np.cumsum(up) - 1
+    inner = up[sources] & up[targets]
+    crossing = up[sources] & ~up[targets]
+    exits = np.bincount(
+        position[sources[crossing]], weights=rates[crossing], minlength=n_up
+    )
+    leaving = np.flatnonzero(exits > 0.0)
+    plan = DenseKernelPlan(
+        n_up + 1,
+        np.concatenate([position[sources[inner]], leaving, [n_up]]),
+        np.concatenate(
+            [position[targets[inner]], np.full(leaving.size, n_up), [0]]
+        ),
+        np.arange(n_up + 1) < n_up,
+    )
+    closure_rates = np.concatenate([rates[inner], exits[leaving], [1.0]])
+    _, lam, _, status, _, _ = dense_gth(
+        plan, closure_rates[None, :], mttf=False
+    )
+    if status[0] != 0.0:
+        raise SolverError(
+            f"renewal closure failed for model {generator.model_name!r}"
+        )
+    return float(lam[0])
+
+
 def steady_state_availability(
     model_or_generator: Union[MarkovModel, GeneratorMatrix],
     values: Optional[Mapping[str, float]] = None,
@@ -194,15 +278,21 @@ def steady_state_availability(
     counts a state as up iff its reward is strictly positive; fractional
     rewards only affect :func:`expected_steady_state_reward`.
     """
+    _check_abstraction(abstraction)
     generator = as_generator(model_or_generator, values)
-    pi = steady_state_vector(generator, method=method)
+    pi, resolved, interface = _solve(
+        generator, method, mttf=abstraction == "mttf"
+    )
     up = generator.up_mask()
-    availability = float(pi[up].sum())
-    unavailability = float(pi[~up].sum()) if (~up).any() else 0.0
+    if interface is not None:
+        availability, unavailability = interface[2], interface[3]
+    else:
+        availability = float(pi[up].sum())
+        unavailability = float(pi[~up].sum()) if (~up).any() else 0.0
     # Guard against tiny negative round-off.
     availability = min(1.0, max(0.0, availability))
-    lam, mu = equivalent_failure_recovery_rates(
-        generator, pi=pi, abstraction=abstraction
+    lam, mu = _equivalent_rates(
+        generator, pi, resolved, interface, abstraction
     )
     downtime_total = unavailability_to_yearly_downtime_minutes(unavailability)
     downtime_by_state = {

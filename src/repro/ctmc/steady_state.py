@@ -3,13 +3,15 @@
 Two general algorithms are provided:
 
 * ``"direct"`` — replace one balance equation with the normalization
-  constraint and solve the dense/sparse linear system with LU.  Fast and
-  accurate for the model sizes in this library.
+  constraint and solve the dense/sparse linear system with LU.
 * ``"gth"`` — the Grassmann–Taksar–Heyman elimination, which avoids
   subtractions entirely and is numerically robust for *stiff* chains where
   rates span many orders of magnitude (availability models routinely mix
   per-year failure rates with per-minute repair rates — eight orders of
-  magnitude in this paper's models).
+  magnitude in this paper's models).  It runs the batch engine's dense
+  kernel (:mod:`repro.kernels.dense`) with one sample on the
+  generator's arcs, so a scalar solve and a batch solve of the same
+  chain give the same bits.
 
 A structure-exploiting method extends the reach to large state spaces:
 
@@ -22,8 +24,9 @@ A structure-exploiting method extends the reach to large state spaces:
 
 ``"auto"`` picks for you: banded when the structure is detected on a
 chain of :data:`~repro.ctmc.sparse.BANDED_MIN_STATES` states or more
-(the batch engine's cutover too), otherwise direct.  All methods agree
-to tight tolerances on the paper's models; the property tests in
+(the batch engine's cutover too), direct (sparse LU) on a sparse
+generator without that structure, otherwise gth.  All methods agree to
+tight tolerances on the paper's models; the property tests in
 ``tests/ctmc/test_steady_state.py`` and ``tests/ctmc/test_sparse.py``
 enforce this on random chains.
 """
@@ -49,8 +52,13 @@ from repro.ctmc.sparse import (
 from repro.ctmc.structure import classify_states
 from repro.exceptions import SolverError, StructureError
 from repro.kernels.banded import BandedKernelPlan, banded_steady_state
+from repro.kernels.dense import DenseKernelPlan, dense_gth
 
 Method = str  # "direct" | "gth" | "banded" | "auto"
+
+#: ``(Lambda, Mu, P(up), P(down))`` as the dense kernel computed them
+#: alongside the vector.
+Interface = Optional[Tuple[float, float, float, float]]
 
 
 def steady_state_vector(
@@ -78,6 +86,22 @@ def steady_state_vector(
         SolverError: If the linear algebra fails or the result is not a
             probability vector.
     """
+    return _solve(generator, method, check_structure)[0]
+
+
+def _solve(
+    generator: GeneratorMatrix,
+    method: Method,
+    check_structure: bool = True,
+    mttf: bool = False,
+) -> Tuple[np.ndarray, Method, Interface]:
+    """:func:`steady_state_vector`, plus what the reward layer needs.
+
+    Returns ``(pi, resolved, interface)``: the vector, the method that
+    ran (``"auto"`` resolved), and the dense kernel's :data:`Interface`
+    when it solved the whole chain (``mttf`` picks Lambda's semantics),
+    else ``None``.
+    """
     if method not in ("direct", "gth", "banded", "auto"):
         raise SolverError(
             f"unknown steady-state method {method!r}; "
@@ -98,29 +122,20 @@ def steady_state_vector(
             # a feature (e.g. a maintenance rate of zero makes the
             # Maintenance state unreachable).
             recurrent = list(classification.recurrent_classes[0])
-            if len(recurrent) == 1:
-                pi = np.zeros(generator.n_states)
-                pi[generator.index_of(recurrent[0])] = 1.0
-                return pi
-            block = generator.restricted(recurrent)
-            block_pi = steady_state_vector(
-                block, method=method, check_structure=False
-            )
             pi = np.zeros(generator.n_states)
+            if len(recurrent) == 1:
+                # No flow leaves a lone recurrent state: no MTTF needed.
+                pi[generator.index_of(recurrent[0])] = 1.0
+                return pi, method, None
+            block = generator.restricted(recurrent)
+            block_pi, resolved, _ = _solve(
+                block, method, check_structure=False
+            )
             for name, mass in zip(recurrent, block_pi):
                 pi[generator.index_of(name)] = mass
-            return pi
+            return pi, resolved, None
     requested = method
-    arcs = structure = None
-    if method == "banded" or (
-        method == "auto" and generator.n_states >= BANDED_MIN_STATES
-    ):
-        arcs = _generator_coo(generator)
-        structure = detect_banded_structure(
-            generator.n_states, arcs[0], arcs[1]
-        )
-    if method == "auto":
-        method = "direct" if structure is None else "banded"
+    method, arcs, structure = _resolve_method(generator, method)
     if obs.enabled():
         obs.counter("ctmc_steady_state_solves_total", method=method).inc()
         if requested == "auto":
@@ -130,14 +145,45 @@ def steady_state_vector(
                 chosen=method,
                 n_states=generator.n_states,
             )
+    if method == "gth":
+        # GTH output is non-negative and normalized by construction.
+        pi, interface = _solve_gth(generator, arcs, mttf)
+        return pi, method, interface
     if method == "direct":
         pi = _solve_direct(generator)
-    elif method == "gth":
-        pi = _solve_gth(generator)
     else:
         pi = _solve_banded(generator, arcs, structure)
     _check_probability_vector(pi, generator, tol=1e-8)
-    return pi
+    return pi, method, None
+
+
+def _resolve_method(
+    generator: GeneratorMatrix, method: Method
+) -> Tuple[Method, Optional[Tuple], Optional[BandedStructure]]:
+    """The method ``method`` runs on ``generator`` (``"auto"`` resolved).
+
+    Returns ``(method, arcs, structure)``; ``arcs`` and the banded
+    ``structure`` are filled when the choice needed them.  ``"auto"``
+    takes the banded kernel at or above the cutover when the chain is
+    banded-plus-spike, sparse LU on other sparse generators, and the
+    dense GTH kernel otherwise (the batch engine's choices too).
+    """
+    arcs = structure = None
+    if method == "banded" or (
+        method == "auto" and generator.n_states >= BANDED_MIN_STATES
+    ):
+        arcs = _generator_coo(generator)
+        structure = detect_banded_structure(
+            generator.n_states, arcs[0], arcs[1]
+        )
+    if method == "auto":
+        if structure is not None:
+            method = "banded"
+        elif generator.is_sparse:
+            method = "direct"
+        else:
+            method = "gth"
+    return method, arcs, structure
 
 
 def solve_steady_state(
@@ -203,17 +249,42 @@ def _solve_banded(
     return banded_steady_state(plan, rates[None, :])[0]
 
 
-def _solve_gth(generator: GeneratorMatrix) -> np.ndarray:
-    """Grassmann–Taksar–Heyman elimination (subtraction-free, O(n^3)).
+def _solve_gth(
+    generator: GeneratorMatrix,
+    arcs: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+    mttf: bool,
+) -> Tuple[np.ndarray, Tuple[float, float, float, float]]:
+    """The dense GTH kernel (subtraction-free, O(n^3)) on one generator.
 
-    The classic formulation works on dense matrices; availability models
-    are small enough (tens to hundreds of states) that densifying is fine.
+    Returns the stationary vector and the kernel's :data:`Interface`.
     """
-    return _gth_reference(generator.dense())
+    sources, targets, rates = (
+        arcs if arcs is not None else _generator_coo(generator)
+    )
+    plan = DenseKernelPlan(
+        generator.n_states, sources, targets, generator.up_mask()
+    )
+    pis, *interface, = dense_gth(plan, rates[None, :], mttf)
+    lam, mu, status, p_up, p_down = (float(v[0]) for v in interface)
+    if status == 2.0:
+        raise SolverError(
+            "the MTTF renewal closure failed: an up state cannot return "
+            f"to the initial state for model {generator.model_name!r}"
+        )
+    if status != 0.0:
+        raise SolverError(
+            "GTH elimination failed: no transition from eliminated "
+            "state back into the remaining block (reducible chain?) "
+            f"for model {generator.model_name!r}"
+        )
+    return pis[0], (lam, mu, p_up, p_down)
 
 
 def _gth_reference(q: np.ndarray) -> np.ndarray:
-    """Textbook GTH on a dense generator; returns the stationary vector."""
+    """Textbook GTH on a dense generator; returns the stationary vector.
+
+    The NumPy reference the kernels are tested against.
+    """
     n = q.shape[0]
     a = q.copy().astype(float)
     np.fill_diagonal(a, 0.0)

@@ -195,10 +195,11 @@ class HierarchicalModel:
 
         Args:
             method: Steady-state method for every constituent solve.  The
-                default ``"auto"`` behaves exactly like ``"direct"`` on
-                small submodels and switches to the structured banded
-                solver when a large submodel (a generalized N-instance AS
-                chain, say) exposes the banded-plus-spike topology.
+                default ``"auto"`` runs the dense GTH kernel (which also
+                gives each submodel's Lambda and Mu) on small submodels
+                and switches to the structured banded solver when a large
+                submodel (a generalized N-instance AS chain, say) exposes
+                the banded-plus-spike topology.
             abstraction: Equivalent-rate semantics for the submodels,
                 ``"mttf"`` (RAScad, default) or ``"flow"`` (exact
                 steady-state flow).  See
@@ -337,17 +338,21 @@ class CompiledHierarchy:
         self._attributions: Dict[str, Tuple[str, ...]] = dict(
             hierarchy._attributions
         )
+        # The binding table: (parameter, submodel, output, scale).
+        self._binding_table = tuple(
+            (parameter, b.submodel, b.output, b.scale)
+            for parameter, b in self._bindings.items()
+        )
         self._signature = self._current_signature(hierarchy)
 
     @staticmethod
     def _current_signature(hierarchy: HierarchicalModel):
+        # Submodels and bindings are only ever added, so their counts
+        # and the constituent models' versions identify the state.
         return (
             hierarchy.top.version,
-            tuple(
-                (key, model.version)
-                for key, model in hierarchy._submodels.items()
-            ),
-            tuple(sorted(hierarchy._bindings)),
+            len(hierarchy._bindings),
+            *(model.version for model in hierarchy._submodels.values()),
         )
 
     def is_current(self) -> bool:
@@ -381,17 +386,13 @@ class CompiledHierarchy:
                         abstraction=abstraction,
                     )
             bound: Dict[str, np.ndarray] = {}
-            for parameter, binding in self._bindings.items():
-                interface = interfaces[binding.submodel]
-                if binding.output == "failure_rate":
-                    output = interface.failure_rate
-                elif binding.output == "recovery_rate":
-                    output = interface.recovery_rate
-                elif binding.output == "availability":
-                    output = interface.availability
+            for parameter, submodel, output, scale in self._binding_table:
+                interface = interfaces[submodel]
+                if output == "unavailability":
+                    column = 1.0 - interface.availability
                 else:
-                    output = 1.0 - interface.availability
-                bound[parameter] = output * binding.scale
+                    column = getattr(interface, output)
+                bound[parameter] = column * scale
             top_values = _with_bound(values, bound)
             with obs.span("hierarchy.top", model=self.top.model_name):
                 system = batch_availability(
@@ -412,7 +413,7 @@ class CompiledHierarchy:
 def _with_bound(values: Mapping, bound: Mapping) -> Dict:
     """``values`` plus ``bound``; a name in both is a :class:`ModelError`."""
     top_values = dict(values)
-    overlap = set(bound) & set(top_values)
+    overlap = [name for name in bound if name in top_values]
     if overlap:
         raise ModelError(
             f"bound parameter(s) {sorted(overlap)} also appear in "

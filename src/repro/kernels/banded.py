@@ -41,7 +41,7 @@ path for good.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.linalg import lapack as _lapack
@@ -130,12 +130,14 @@ class BandedKernelPlan:
     solves (cached in ``solver_cache``), once per call from the
     generator's arcs for scalar ones.  Holds :class:`_ScatterMap`
     gathers taking the ``(k, n_transitions)`` rate matrix straight to
-    the LAPACK band storage / GTH band-plus-spike storage.
+    the LAPACK band storage / GTH band-plus-spike storage.  Each pair
+    of maps is built on first use, so a plan builds only the pair of the
+    path its host takes.
     """
 
     __slots__ = (
-        "structure", "n", "nm", "kl", "ku", "wtot",
-        "ab_map", "rhs_map", "band_map", "spike_map",
+        "structure", "n", "nm", "kl", "ku", "wtot", "_arcs",
+        "_lapack_maps", "_gth_maps",
     )
 
     def __init__(
@@ -152,10 +154,29 @@ class BandedKernelPlan:
         self.kl = structure.upper
         self.ku = structure.lower
         self.wtot = 2 * self.kl + self.ku + 1
-        t = np.arange(sources.size, dtype=np.intp)
-        s = np.asarray(sources, dtype=np.intp)
-        g = np.asarray(targets, dtype=np.intp)
+        self._arcs = (
+            np.asarray(sources, dtype=np.intp),
+            np.asarray(targets, dtype=np.intp),
+        )
+        self._lapack_maps: Optional[Tuple[_ScatterMap, _ScatterMap]] = None
+        self._gth_maps: Optional[Tuple[_ScatterMap, _ScatterMap]] = None
 
+    def lapack_maps(self) -> Tuple[_ScatterMap, _ScatterMap]:
+        """``(ab_map, rhs_map)`` for the LAPACK path, built on first use."""
+        if self._lapack_maps is None:
+            self._lapack_maps = self._build_lapack(*self._arcs)
+        return self._lapack_maps
+
+    def gth_maps(self) -> Tuple[_ScatterMap, _ScatterMap]:
+        """``(band_map, spike_map)`` for the C path, built on first use."""
+        if self._gth_maps is None:
+            self._gth_maps = self._build_gth()
+        return self._gth_maps
+
+    def _build_lapack(
+        self, s: np.ndarray, g: np.ndarray
+    ) -> Tuple[_ScatterMap, _ScatterMap]:
+        t = np.arange(s.size, dtype=np.intp)
         # LAPACK band storage for M[r, c] = Q[c+1, r+1] (flat C-order
         # (nm, wtot); its transpose is the F-order (wtot, nm) dgbsv
         # input).  M[r, c] lives at c*wtot + kl + ku + r - c.
@@ -168,29 +189,34 @@ class BandedKernelPlan:
         data = np.concatenate(
             [np.ones(slot_off.size), -np.ones(slot_diag.size)]
         )
-        self.ab_map = _ScatterMap(rows, cols, data, self.nm * self.wtot)
+        ab_map = _ScatterMap(rows, cols, data, self.nm * self.wtot)
 
         # Known terms: rhs[r] = -Q[0, r+1].
         init = s == 0
-        self.rhs_map = _ScatterMap(
+        rhs_map = _ScatterMap(
             t[init], g[init] - 1, -np.ones(int(init.sum())), self.nm
         )
+        return ab_map, rhs_map
 
+    def _build_gth(self) -> Tuple[_ScatterMap, _ScatterMap]:
         # GTH band-plus-spike storage for the C eliminator (same layout
         # as gth_banded_batch).
+        structure = self.structure
+        t = np.arange(self._arcs[0].size, dtype=np.intp)
         in_band = structure.band_slots >= 0
-        self.band_map = _ScatterMap(
+        band_map = _ScatterMap(
             t[in_band],
             structure.band_slots[in_band],
             np.ones(int(in_band.sum())),
-            n * structure.width,
+            self.n * structure.width,
         )
-        self.spike_map = _ScatterMap(
+        spike_map = _ScatterMap(
             t[~in_band],
             structure.spike_rows[~in_band],
             np.ones(int((~in_band).sum())),
-            n,
+            self.n,
         )
+        return band_map, spike_map
 
 
 def banded_kernel_plan(compiled) -> BandedKernelPlan:
@@ -231,8 +257,9 @@ def _dgbsv_block(plan: BandedKernelPlan, ab_flat: np.ndarray,
 def _solve_numpy(plan: BandedKernelPlan, rates: np.ndarray) -> np.ndarray:
     k = rates.shape[0]
     nm, wtot, n = plan.nm, plan.wtot, plan.n
-    ab = plan.ab_map.apply(rates)    # (k, nm*wtot), C-contiguous
-    rhs = plan.rhs_map.apply(rates)  # (k, nm)
+    ab_map, rhs_map = plan.lapack_maps()
+    ab = ab_map.apply(rates)    # (k, nm*wtot), C-contiguous
+    rhs = rhs_map.apply(rates)  # (k, nm)
     pis = np.empty((k, n))
     pis[:, 0] = 1.0
     # dgbsv overwrites both inputs; ab/rhs are scratch from here on.
@@ -247,8 +274,8 @@ def _solve_numpy(plan: BandedKernelPlan, rates: np.ndarray) -> np.ndarray:
         obs.counter("kernels_banded_pivot_fallbacks_total").inc()
         for i in range(k):
             row = rates[i: i + 1]
-            ab_i = plan.ab_map.apply(row).reshape(nm, wtot)
-            rhs_i = plan.rhs_map.apply(row).reshape(nm)
+            ab_i = ab_map.apply(row).reshape(nm, wtot)
+            rhs_i = rhs_map.apply(row).reshape(nm)
             x_i = _dgbsv_block(plan, ab_i, rhs_i)
             if x_i is not None:
                 pis[i, 1:] = x_i
@@ -284,8 +311,9 @@ def _solve_cext(plan: BandedKernelPlan, rates: np.ndarray) -> Optional[np.ndarra
     st = plan.structure
     k = rates.shape[0]
     rates = np.ascontiguousarray(rates)
-    band = plan.band_map.apply_cext(rates, cext)
-    spike = plan.spike_map.apply_cext(rates, cext)
+    band_map, spike_map = plan.gth_maps()
+    band = band_map.apply_cext(rates, cext)
+    spike = spike_map.apply_cext(rates, cext)
     pis = np.empty((k, st.n))
     status = cext.gth_banded(
         band, spike, pis, k, st.n, st.width, st.upper, st.lower

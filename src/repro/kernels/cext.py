@@ -1,4 +1,4 @@
-"""Build-on-first-use C kernel for the banded GTH elimination.
+"""Build-on-first-use C kernels for the banded and dense GTH eliminations.
 
 No packaging machinery: the C source below is compiled once per machine
 with whatever C compiler is on ``PATH`` (``cc``, ``gcc`` or ``clang``)
@@ -10,12 +10,16 @@ banded solve takes the LAPACK path.  A build or load that fails is
 remembered for the rest of the process and announced once as a
 ``kernels.demoted`` event.
 
-The kernel itself is the same subtraction-free banded-plus-spike GTH
+The banded kernel is the same subtraction-free banded-plus-spike GTH
 elimination as :func:`repro.ctmc.sparse.gth_banded_batch`, one C loop
 per sample instead of a Python loop over states — O(n·b²) work with no
 interpreter overhead, and the same storage layout (band slot
 ``j*w + u + i - j`` holds ``a[i, j]``; the spike column holds
-``a[i, 0]``).
+``a[i, 0]``).  The dense kernel (:mod:`repro.kernels.dense`) runs GTH
+on a dense work matrix and returns the stationary vector together with
+the submodel's (Lambda, Mu) interface.  Both are built with
+``-ffp-contract=off``, so no compiler fuses a multiply-add and the
+dense kernel's bits equal its NumPy twin's.
 """
 
 from __future__ import annotations
@@ -33,7 +37,9 @@ from typing import Optional
 from repro import obs
 
 _C_SOURCE = r"""
+#include <math.h>
 #include <stddef.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* Banded-plus-spike GTH elimination, one sample per outer iteration.
@@ -117,6 +123,159 @@ void repro_scatter_rows(const double *rates, const long *cols,
         }
     }
 }
+
+/* GTH on the m-state chain M (row-major rates; the diagonal is never
+ * read), in place.  p receives the unnormalized stationary vector with
+ * p[0] = 1.  Returns its sum, or -1 when an eliminated state has no
+ * flow back into the remaining block.  Every sum runs in index order.
+ */
+static double gth_dense(double *M, long m, double *p)
+{
+    long k, i, j;
+    double sum = 1.0;
+    for (k = m - 1; k >= 1; k--) {
+        double *Mk = M + (size_t)k * m;
+        double total = 0.0;
+        for (j = 0; j < k; j++)
+            total += Mk[j];
+        if (!(total > 0.0))
+            return -1.0;
+        for (i = 0; i < k; i++) {
+            double *Mi = M + (size_t)i * m;
+            double factor = Mi[k] / total;
+            Mi[k] = factor;
+            if (factor != 0.0)
+                for (j = 0; j < k; j++)
+                    Mi[j] += factor * Mk[j];
+        }
+    }
+    p[0] = 1.0;
+    for (k = 1; k < m; k++) {
+        double acc = 0.0;
+        for (i = 0; i < k; i++)
+            acc += p[i] * M[(size_t)i * m + k];
+        p[k] = acc;
+        sum += acc;
+    }
+    return sum;
+}
+
+/* Dense GTH with the submodel interface, one sample per iteration.
+ *
+ * rates : k_samples * n_arcs doubles; arc t is src[t] -> tgt[t]
+ *         (distinct off-diagonal pairs)
+ * up    : n flags, nonzero for an up state
+ * out   : k_samples * (n + 5) doubles: the normalized stationary
+ *         vectors, then per sample Lambda, Mu, a status, P(up) and
+ *         P(down), each a block of k_samples
+ *
+ * Lambda is flow_down / P(up) when mttf == 0.  When mttf != 0 it is
+ * 1 / MTTF from state 0 by the renewal closure: the down set collapses
+ * into one state A that returns to state 0 at rate 1, and
+ * MTTF = P(U) / P(A) in that chain (0 when no flow reaches the down
+ * set).  Mu is flow_up / P(down), inf when P(down) is 0.  Status 0 is
+ * a valid sample, 1 a failed stationary elimination, 2 a failed
+ * closure, 3 a rate that is not positive (the chain may be reducible;
+ * the caller classifies it).  Scratch is allocated per call, so
+ * concurrent calls share nothing.  Returns 0, or -1 when the scratch
+ * cannot be allocated.
+ */
+long repro_gth_dense(const double *rates, const long *src, const long *tgt,
+                     const long *up, double *out, long k_samples, long n,
+                     long n_arcs, long mttf)
+{
+    long s, i, j, t, n_up = 0;
+    long *pos = malloc(sizeof(long) * (size_t)n);
+    for (i = 0; i < n; i++)
+        n_up += up[i] != 0;
+    long m = n_up + 1;
+    int closure = mttf && up[0] && n_up < n;
+    double *A = malloc(sizeof(double)
+                       * ((size_t)n * n + (size_t)m * m + n + m));
+    if (!A || !pos) {
+        free(A);
+        free(pos);
+        return -1;
+    }
+    double *B = A + (size_t)n * n;
+    double *w = B + (size_t)m * m;
+    double *q = w + n;
+    for (i = 0, j = 0; i < n; i++)
+        pos[i] = up[i] ? j++ : n_up;
+    for (s = 0; s < k_samples; s++) {
+        const double *R = rates + (size_t)s * n_arcs;
+        double *P = out + (size_t)s * n;
+        double *lam = out + (size_t)k_samples * n + s;
+        double *mu = lam + k_samples;
+        double *status = mu + k_samples;
+        double *p_up = status + k_samples;
+        double *p_down = p_up + k_samples;
+        double sum, f_down = 0.0, f_up = 0.0;
+        *lam = *mu = *p_up = *p_down = 0.0;
+        *status = 3.0;
+        for (t = 0; t < n_arcs; t++)
+            if (!(R[t] > 0.0))
+                break;
+        if (t < n_arcs)
+            continue;
+        memset(A, 0, sizeof(double) * (size_t)n * n);
+        for (t = 0; t < n_arcs; t++)
+            A[(size_t)src[t] * n + tgt[t]] += R[t];
+        /* Rate across the up/down cut out of each state. */
+        for (i = 0; i < n; i++) {
+            double acc = 0.0;
+            for (j = 0; j < n; j++)
+                if ((up[j] != 0) != (up[i] != 0))
+                    acc += A[(size_t)i * n + j];
+            w[i] = acc;
+        }
+        if (closure) {
+            memset(B, 0, sizeof(double) * (size_t)m * m);
+            for (i = 0; i < n; i++) {
+                if (!up[i])
+                    continue;
+                for (j = 0; j < n; j++)
+                    if (up[j])
+                        B[(size_t)pos[i] * m + pos[j]] = A[(size_t)i * n + j];
+                B[(size_t)pos[i] * m + n_up] = w[i];
+            }
+            B[(size_t)n_up * m] = 1.0;
+        }
+        *status = 1.0;
+        sum = gth_dense(A, n, P);
+        if (!(sum > 0.0) || !isfinite(sum))
+            continue;
+        *status = 0.0;
+        for (i = 0; i < n; i++)
+            P[i] /= sum;
+        for (i = 0; i < n; i++) {
+            if (up[i]) {
+                *p_up += P[i];
+                f_down += P[i] * w[i];
+            } else {
+                *p_down += P[i];
+                f_up += P[i] * w[i];
+            }
+        }
+        *mu = *p_down > 0.0 ? f_up / *p_down : INFINITY;
+        if (!mttf) {
+            *lam = f_down / *p_up;
+        } else if (closure && f_down > 0.0) {
+            double up_mass = 0.0;
+            sum = gth_dense(B, m, q);
+            if (!(sum > 0.0) || !isfinite(sum)) {
+                *status = 2.0;
+                continue;
+            }
+            for (i = 0; i < n_up; i++)
+                up_mass += q[i];
+            *lam = q[n_up] / up_mass;
+        }
+    }
+    free(A);
+    free(pos);
+    return 0;
+}
 """
 
 _lock = threading.Lock()
@@ -167,7 +326,8 @@ def _build(target: pathlib.Path, compiler: str) -> None:
         subprocess.run(
             [
                 compiler, "-O3", "-fPIC", "-shared",
-                "-o", str(built), str(source),
+                "-ffp-contract=off",
+                "-o", str(built), str(source), "-lm",
             ],
             check=True,
             capture_output=True,
@@ -214,6 +374,9 @@ def load() -> Optional[ctypes.CDLL]:
                 ctypes.c_long,
                 ctypes.c_long,
             ]
+            dense = lib.repro_gth_dense
+            dense.restype = ctypes.c_long
+            dense.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_long] * 4
             scatter = lib.repro_scatter_rows
             scatter.restype = None
             scatter.argtypes = [
@@ -279,3 +442,23 @@ def scatter_rows(rates, cols, slots, signs, out) -> None:
         dbl(out), int(rates.shape[0]), int(rates.shape[1]),
         int(cols.shape[0]), int(out.shape[1]),
     )
+
+
+def gth_dense(rates, arcs, out, n, mttf) -> None:
+    """Run the dense elimination; see the C source for the contract.
+
+    ``rates`` and ``out`` must be C-contiguous float64 and ``arcs`` the
+    addresses of the plan's C-contiguous int64 ``src``, ``tgt`` and
+    ``up`` arrays.  Raises :class:`MemoryError` when the kernel cannot
+    allocate its scratch.
+    """
+    lib = load()
+    if lib is None:
+        raise RuntimeError("cext kernel unavailable")
+    k, n_arcs = rates.shape
+    status = lib.repro_gth_dense(
+        rates.ctypes.data, *arcs, out.ctypes.data,
+        k, n, n_arcs, 1 if mttf else 0,
+    )
+    if status != 0:
+        raise MemoryError("dense GTH kernel could not allocate its scratch")

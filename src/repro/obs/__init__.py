@@ -23,7 +23,7 @@ Instrumented code uses the same three verbs everywhere::
     with obs.span("ctmc.batch_solve", model=name, n_samples=k) as sp:
         ...
         sp.set(engine=engine)
-    obs.event("ctmc.gth_fallback", n_samples=int(bad.size))
+    obs.event("ctmc.method_auto", chosen=method)
     obs.counter("ctmc_solves_total", method=method).inc()
 
 See ``docs/observability_guide.md`` for the span/metric inventory and
@@ -102,6 +102,7 @@ __all__ = [
     "build_cluster_trace",
     "build_span_tree",
     "counter",
+    "current_span",
     "current_trace_context",
     "deterministic_trace_id",
     "enabled",
@@ -116,6 +117,7 @@ __all__ = [
     "merge_cluster_traces",
     "new_trace_id",
     "observe",
+    "parent_scope",
     "parse_traceparent",
     "process_label",
     "process_trace_sink",
@@ -159,6 +161,20 @@ def enabled() -> bool:
 def span(name: str, **fields: Any):
     """Open a span on the current recorder (no-op context when disabled)."""
     return _current.span(name, **fields)
+
+
+def current_span() -> Optional[int]:
+    """Id of the calling thread's innermost open span (``None`` if off)."""
+    return _current.current_span()
+
+
+def parent_scope(span_id: Optional[int]):
+    """Parent the spans this thread opens in the block to ``span_id``.
+
+    Pairs with :func:`current_span` to link work handed to another
+    thread (a batcher's dispatch) to the span that submitted it.
+    """
+    return _current.parent_scope(span_id)
 
 
 def event(name: str, **fields: Any) -> None:

@@ -22,10 +22,11 @@ additionally guard with ``obs.enabled()`` and aggregate counts locally.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs import tracecontext
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -182,6 +183,12 @@ class NullRecorder:
     def span(self, name: str, **fields: Any) -> _NullSpan:
         return _NULL_SPAN
 
+    def current_span(self) -> Optional[int]:
+        return None
+
+    def parent_scope(self, span_id: Optional[int]):
+        return contextlib.nullcontext()
+
     def event(self, name: str, **fields: Any) -> None:
         return None
 
@@ -275,6 +282,28 @@ class Recorder:
         stack = self._stack.ids
         parent = stack[-1] if stack else None
         return Span(self, name, next(self._span_ids), parent, fields)
+
+    def current_span(self) -> Optional[int]:
+        """Id of the calling thread's innermost open span, if any."""
+        stack = self._stack.ids
+        return stack[-1] if stack else None
+
+    @contextlib.contextmanager
+    def parent_scope(self, span_id: Optional[int]) -> Iterator[None]:
+        """Parent this thread's spans in the block to ``span_id``.
+
+        For work handed to another thread: the span open where the work
+        was submitted (:meth:`current_span` there) becomes the parent of
+        the spans the worker thread opens for it.  ``None`` does nothing.
+        """
+        stack = self._stack.ids
+        if span_id is not None:
+            stack.append(span_id)
+        try:
+            yield
+        finally:
+            if span_id is not None and stack and stack[-1] == span_id:
+                stack.pop()
 
     # Metrics -------------------------------------------------------------
 

@@ -53,8 +53,8 @@ BatchExecutor = Callable[[Sequence[Any]], Sequence[Any]]
 class Ticket:
     """Handle for one submitted request."""
 
-    __slots__ = ("group_key", "values", "trace", "submitted", "_done",
-                 "_result", "_error", "batch_size")
+    __slots__ = ("group_key", "values", "trace", "span", "submitted",
+                 "_done", "_result", "_error", "batch_size")
 
     def __init__(self, group_key: Hashable, values: Any) -> None:
         self.group_key = group_key
@@ -67,6 +67,9 @@ class Ticket:
         #: request's context into every later batch; the dispatch loop
         #: instead re-activates the lead ticket's context per batch.
         self.trace = tracecontext.current()
+        #: The submitting thread's open span, which parents the
+        #: dispatch span in a single-process trace.
+        self.span = obs.current_span()
         self._done = threading.Event()
         self._result: Any = None
         self._error: Optional[BaseException] = None
@@ -306,9 +309,12 @@ class MicroBatcher:
             obs.counter("service_coalesced_requests_total").inc(size)
         obs.histogram("service_batch_size").observe(size)
         # A coalesced batch serves several traces but one dispatch; the
-        # lead ticket's context parents the dispatch span (batch_size
-        # records the coalescing for the other riders).
-        with tracecontext.trace_scope(batch[0].trace):
+        # lead ticket's context and span parent the dispatch span
+        # (batch_size records the coalescing for the other riders).
+        lead = batch[0]
+        with tracecontext.trace_scope(lead.trace), obs.parent_scope(
+            lead.span
+        ):
             with obs.span("service.dispatch", batch_size=size):
                 try:
                     results = executor(

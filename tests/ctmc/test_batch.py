@@ -197,6 +197,34 @@ class TestZeroPatternSafety:
         assert pis[1, 2] == 0.0
         assert pis[3, 2] == 0.0
 
+    @pytest.mark.parametrize("abstraction", ["mttf", "flow"])
+    def test_kernel_hands_zero_rate_samples_to_the_library(
+        self, abstraction
+    ):
+        """Under ``auto`` a sample with a zero rate (here a reducible
+        chain: Maint unreachable) is solved by the scalar library, so
+        the batch equals the scalar solve bit for bit."""
+        model = self.build()
+        m = np.array([0.01, 0.0, 0.02, 0.0])
+        columns = {"La": 0.5, "Mu": 2.0, "M": m, "R": 3.0}
+        batch = batch_availability(
+            model, columns, n_samples=4, method="auto",
+            abstraction=abstraction,
+        )
+        for s in range(4):
+            values = {"La": 0.5, "Mu": 2.0, "M": float(m[s]), "R": 3.0}
+            scalar = steady_state_availability(
+                model, values, method="auto", abstraction=abstraction
+            )
+            expected = np.array(
+                [scalar.state_probabilities[n] for n in batch.state_names]
+            )
+            assert (batch.pis[s] == expected).all()
+            assert batch.availability[s] == scalar.availability
+            assert batch.failure_rate[s] == scalar.failure_rate
+            assert batch.recovery_rate[s] == scalar.recovery_rate
+        assert batch.pis[1, 2] == 0.0
+
     def test_cache_holds_one_entry_per_pattern(self):
         model = self.build()
         compiled = compile_model(model)

@@ -237,26 +237,28 @@ class TestDispatchAndDiagnostics:
         with pytest.raises(SolverError, match="banded"):
             batch_steady_state(model, {}, n_samples=1, method="banded")
 
-    def test_auto_equals_direct_on_small_models(self):
-        """Below the banded cutover 'auto' must be bit-identical to
-        direct, scalar and batch."""
+    def test_auto_equals_gth_on_small_models(self):
+        """Below the banded cutover 'auto' is the dense GTH kernel:
+        bit-identical to 'gth', scalar and batch."""
         model = build_appserver_model(4)
         values = paper_values()
         generator = build_generator(model, values)
         assert generator.n_states < BANDED_MIN_STATES
         auto = steady_state_vector(generator, method="auto")
-        direct = steady_state_vector(generator, method="direct")
-        assert (auto == direct).all()
+        gth = steady_state_vector(generator, method="gth")
+        assert (auto == gth).all()
         batch_auto = batch_steady_state(model, values, 1, method="auto")
-        batch_direct = batch_steady_state(model, values, 1, method="direct")
-        assert (batch_auto == batch_direct).all()
+        batch_gth = batch_steady_state(model, values, 1, method="gth")
+        assert (batch_auto == batch_gth).all()
+        assert (batch_auto[0] == auto).all()
 
     def test_scalar_and_batch_auto_share_cutover(self):
-        """One cutover: AS N=10 (29 states) stays dense on both paths,
-        N=11 (32 states) and N=16 (47 states) go banded on both."""
+        """One cutover: AS N=10 (29 states) stays on the dense kernel on
+        both paths, N=11 (32 states) and N=16 (47 states) go banded on
+        both."""
         from repro.ctmc.batch import _resolve_engine
 
-        cases = ((10, "direct"), (11, "banded"), (16, "banded"))
+        cases = ((10, "gth"), (11, "banded"), (16, "banded"))
         for n_instances, engine in cases:
             model = build_appserver_model(n_instances)
             with obs.observe() as recorder:
@@ -271,8 +273,8 @@ class TestDispatchAndDiagnostics:
             assert chosen == engine, n_instances
             compiled = compile_model(model)
             batch = _resolve_engine(compiled, "auto")
-            # Batch "auto" below the cutover is the dense stacked LU.
-            assert batch == ("auto" if engine == "direct" else engine)
+            # Batch "auto" below the cutover is the dense GTH kernel.
+            assert batch == engine
             # Dense methods keep their bit-parity contract at any size
             # below SPARSE_THRESHOLD.
             assert _resolve_engine(compiled, "direct") == "direct"

@@ -264,6 +264,41 @@ class TestServiceCore:
         assert span.parent_id is None
         assert service._recorder._stack.ids == []
 
+    def test_uncertainty_at_10_10_seed_0_answers(self, service):
+        """The paper's Section 7 protocol on Table 3's largest shape:
+        stacked LU lost sample 250's AS down mass and this answered
+        500 (ModelError on 'Mu_appl')."""
+        document = {
+            "n_instances": 10, "n_pairs": 10, "samples": 1000, "seed": 0,
+        }
+        status, payload, _ = service.handle("/v1/uncertainty", document)
+        assert status == 200, payload
+        assert payload["kind"] == "uncertainty"
+
+    def test_dispatch_span_is_child_of_request_span(self):
+        """In a single-process trace the batcher thread's dispatch span
+        hangs under the request span that submitted the lead ticket."""
+        from repro import obs
+
+        with obs.observe() as recorder:
+            service = AvailabilityService(ServiceConfig(port=0))
+            try:
+                status, _, _ = service.handle("/v1/solve", {})
+            finally:
+                service.close()
+        assert status == 200
+        spans = {
+            record["span_id"]: record
+            for record in recorder.records
+            if record["kind"] == "span"
+        }
+        (dispatch,) = [
+            s for s in spans.values() if s["name"] == "service.dispatch"
+        ]
+        assert dispatch["parent_id"] is not None
+        assert spans[dispatch["parent_id"]]["name"] == "service.request"
+        assert "parent_ref" not in dispatch
+
     def test_close_restores_recorder(self):
         from repro import obs
         from repro.obs.recorder import NULL_RECORDER
