@@ -19,9 +19,11 @@ evaluation server instead of an in-process library call:
   bounded queues that shed load with 429 + ``Retry-After`` rather than
   queueing unboundedly (metastable overload is a failure mode in its
   own right — Alvaro et al., arXiv:2510.03551);
-* :mod:`~repro.service.http` — the stdlib ``ThreadingHTTPServer`` front
-  end that a shard server and the cluster router both run on;
-* :mod:`~repro.service.client` — a stdlib ``urllib`` client.
+* :mod:`~repro.service.http` — the small HTTP/1.1 codec every hop
+  speaks, and the thread-per-connection JSON front end that a shard
+  server and the cluster router both run on;
+* :mod:`~repro.service.client` — the keep-alive client (and the
+  connection pool the router forwards through) on the same codec.
 
 Start one with ``repro-avail serve`` or embed it::
 

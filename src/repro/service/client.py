@@ -1,7 +1,9 @@
-"""Stdlib client for the evaluation server.
+"""Client for the evaluation server.
 
-A thin ``http.client`` wrapper so tests, the CLI and scripts can talk
-to a running server (or cluster router) without extra dependencies::
+A small keep-alive HTTP/1.1 client — it speaks the codec of
+:mod:`repro.service.http`, the one the servers speak — so tests, the
+CLI and scripts can talk to a running server (or cluster router)
+without extra dependencies::
 
     from repro.service import ServiceClient
 
@@ -14,7 +16,7 @@ server speaks HTTP/1.1 with ``Content-Length`` framing, so sequential
 requests reuse one socket instead of paying a TCP handshake each time,
 and concurrent callers draw from a small free-connection stack (the
 pool grows to the concurrency actually used, never beyond
-``pool_size`` idle sockets).  ``connections_opened`` counts the sockets
+``max_idle`` idle sockets).  ``connections_opened`` counts the sockets
 a client ever created — the socket-reuse regression test pins it to 1
 for a sequential workload.
 
@@ -23,7 +25,7 @@ Robustness (the client half of the chaos-recovery contract):
 * every transport-level failure is wrapped in the typed
   :class:`~repro.service.errors.ServiceConnectionError` /
   :class:`~repro.service.errors.ServiceTimeout` hierarchy instead of
-  leaking the raw ``http.client``/``socket`` exception zoo;
+  leaking the raw ``socket`` exception zoo;
 * a failed *reused* connection is indistinguishable from a server that
   died mid-request, so it is discarded and the request retried per
   policy — safe because every POST is idempotent (content-addressed
@@ -55,7 +57,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import http.client
 import json
 import random
 import socket
@@ -63,7 +64,7 @@ import threading
 import time
 import urllib.parse
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import IO, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.serialize import canonical_json
@@ -73,6 +74,14 @@ from repro.service.errors import (
     ServiceConnectionError,
     ServiceTimeout,
     ServiceUnavailable,
+)
+from repro.service.http import (
+    MAX_LINE,
+    FramingError,
+    Headers,
+    body_length,
+    encode_request,
+    read_headers,
 )
 
 
@@ -133,30 +142,74 @@ def idempotency_key(path: str, document: Mapping[str, Any]) -> str:
     ).hexdigest()
 
 
-class _NoDelayHTTPConnection(http.client.HTTPConnection):
-    """``HTTPConnection`` that disables Nagle as soon as it dials.
+class _Connection:
+    """One keep-alive socket to ``host:port``, speaking the codec of
+    :mod:`repro.service.http`.
 
-    Nagle batching interacts with the peer's delayed ACK and can stall
-    a keep-alive request/response round trip by ~40 ms — fatal when the
-    exchange itself is sub-millisecond (cache hits).  Connecting stays
-    lazy (first ``request``) so dial errors still surface inside the
-    caller's transport-error handling.
+    Dialing is lazy (first :meth:`exchange`), so dial errors surface
+    inside the pool's transport-error handling.
     """
 
-    def connect(self) -> None:
-        super().connect()
-        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    def __init__(self, host: str, port: int, timeout: float) -> None:
+        self.address = (host, port)
+        self.timeout = timeout
+        self.sock: Optional[socket.socket] = None
+        self.rfile: Optional[IO[bytes]] = None
+
+    def exchange(self, request: bytes) -> Tuple[int, Headers, bytes, bool]:
+        """Send one request message; returns ``(status, headers, body,
+        close)``, where ``close`` means the server will not reuse the
+        socket."""
+        if self.sock is None:
+            sock = socket.create_connection(self.address, self.timeout)
+            # Nagle batching interacts with the peer's delayed ACK and
+            # can stall a keep-alive round trip by ~40 ms — fatal when
+            # the exchange itself is sub-millisecond (cache hits).
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self.sock, self.rfile = sock, sock.makefile("rb")
+        self.sock.sendall(request)
+        line = self.rfile.readline(MAX_LINE + 1)
+        if not line:
+            raise ConnectionError("server closed the connection unanswered")
+        parts = line.split(None, 2)
+        if (
+            len(line) > MAX_LINE
+            or len(parts) < 2
+            or parts[0] not in (b"HTTP/1.0", b"HTTP/1.1")
+            or not parts[1].isdigit()
+        ):
+            raise ConnectionError(f"bad status line {line[:64]!r}")
+        headers = read_headers(self.rfile)
+        length = body_length(headers)
+        connection = headers.get("connection", "").lower()
+        close = connection == "close" or (
+            parts[0] == b"HTTP/1.0" and connection != "keep-alive"
+        )
+        if length is None:
+            return int(parts[1]), headers, self.rfile.read(), True
+        body = self.rfile.read(length)
+        if len(body) < length:
+            raise ConnectionError(
+                f"response body ended after {len(body)} of {length} bytes"
+            )
+        return int(parts[1]), headers, body, close
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self.rfile.close()
+            self.sock.close()
+            self.sock = self.rfile = None
 
 
 class HttpConnectionPool:
     """Keep-alive connection pool for one ``http://host:port`` origin.
 
-    A bounded LIFO stack of idle :class:`http.client.HTTPConnection`
-    objects.  :meth:`exchange` pops an idle connection (or dials a new
-    one — counted in :attr:`opened`), runs exactly one request/response
-    exchange on it, then either releases it for reuse or discards it
-    after any transport error, since a connection that failed
-    mid-exchange has undefined framing state.
+    A bounded LIFO stack of idle connections.  :meth:`exchange` pops an
+    idle connection (or dials a new one — counted in :attr:`opened`),
+    runs exactly one request/response exchange on it, then either
+    releases it for reuse or discards it after any transport error,
+    since a connection that failed mid-exchange has undefined framing
+    state.
 
     LIFO keeps the hottest socket busiest, so a sequential caller uses
     exactly one connection and a burst of *k* concurrent callers
@@ -171,18 +224,16 @@ class HttpConnectionPool:
         self.timeout = float(timeout)
         self.max_idle = int(max_idle)
         self.opened = 0
-        self._idle: List[http.client.HTTPConnection] = []
+        self._idle: List[_Connection] = []
         self._lock = threading.Lock()
         self._closed = False
 
-    def acquire(self) -> http.client.HTTPConnection:
+    def acquire(self) -> _Connection:
         with self._lock:
             if self._idle:
                 return self._idle.pop()
             self.opened += 1
-        return _NoDelayHTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
+        return _Connection(self.host, self.port, self.timeout)
 
     def exchange(
         self,
@@ -190,42 +241,45 @@ class HttpConnectionPool:
         path: str,
         body: Optional[bytes] = None,
         headers: Optional[Mapping[str, str]] = None,
-    ) -> Tuple[int, http.client.HTTPMessage, bytes]:
+    ) -> Tuple[int, Headers, bytes]:
         """One request/response on a pooled connection.
 
-        Returns ``(status, headers, body)``.  Raises the stdlib
-        :class:`TimeoutError` when the socket times out and
+        Returns ``(status, headers, body)``; header lookups ignore case.
+        Raises :class:`ValueError` before any socket is touched when the
+        request head holds a CR, LF or other control character, the
+        stdlib :class:`TimeoutError` when the socket times out, and
         :class:`ConnectionError` on any other transport failure (e.g.
         the server closed the socket mid-response: the ``response.drop``
         chaos point, a killed shard), chaining the original exception as
         ``__cause__``; either way the connection is discarded, never
         returned to the pool.
         """
+        request = encode_request(
+            method, path, f"{self.host}:{self.port}", headers or {}, body
+        )
         conn = self.acquire()
         try:
-            conn.request(method, path, body=body, headers=dict(headers or {}))
-            reply = conn.getresponse()
-            payload = reply.read()
+            status, reply_headers, payload, close = conn.exchange(request)
         except (socket.timeout, TimeoutError) as exc:
             self.discard(conn)
             raise TimeoutError(str(exc)) from exc
-        except (ConnectionError, http.client.HTTPException, OSError) as exc:
+        except (OSError, FramingError) as exc:
             self.discard(conn)
             raise ConnectionError(str(exc)) from exc
-        if reply.will_close:
+        if close:
             self.discard(conn)
         else:
             self.release(conn)
-        return reply.status, reply.headers, payload
+        return status, reply_headers, payload
 
-    def release(self, conn: http.client.HTTPConnection) -> None:
+    def release(self, conn: _Connection) -> None:
         with self._lock:
             if not self._closed and len(self._idle) < self.max_idle:
                 self._idle.append(conn)
                 return
         conn.close()
 
-    def discard(self, conn: http.client.HTTPConnection) -> None:
+    def discard(self, conn: _Connection) -> None:
         conn.close()
 
     def close(self) -> None:

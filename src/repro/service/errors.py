@@ -45,12 +45,12 @@ class SchedulerStopped(ServiceError):
 class ServiceConnectionError(ServiceError):
     """The transport failed before an HTTP status arrived.
 
-    Wraps every raw ``urllib``/``socket``-level failure the client can
-    see — connection refused, connection reset, the server closing the
-    socket without a response — so retry logic and tests can match one
-    typed error instead of the whole ``OSError`` zoo.  The original
-    exception is attached as :attr:`cause` (and chained as
-    ``__cause__``).
+    Wraps every raw ``socket``-level failure the client can see —
+    connection refused, connection reset, the server closing the socket
+    without a response, a response the codec cannot frame — so retry
+    logic and tests can match one typed error instead of the whole
+    ``OSError`` zoo.  The original exception is attached as
+    :attr:`cause` (and chained as ``__cause__``).
     """
 
     def __init__(

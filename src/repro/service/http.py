@@ -1,16 +1,38 @@
-"""The HTTP/1.1 JSON front end shared by the shard server and the router.
+"""The HTTP/1.1 codec and JSON front end shared by every hop.
 
 :class:`~repro.service.server.AvailabilityServer` (one shard) and
 :class:`~repro.service.cluster.ClusterServer` (the router in front of N
-shards) speak the same protocol, so both run on this one front:
+shards) serve the same protocol, and every
+:class:`~repro.service.client.HttpConnectionPool` (each
+``ServiceClient``, and the router's forwards to its shards) speaks it
+back, so all of them run on one small codec:
 
-* :class:`RouteHandler` — reads the body under the core's size limit
-  (413 after draining an oversized upload), decodes JSON (400 on
-  failure), serves ``GET /metrics``, opens the ``Traceparent`` trace
-  scope, and dispatches through the core's ``(method, path)`` route
-  table (404 for anything else);
-* :class:`FrontServer` — a ``ThreadingHTTPServer`` that counts reset
-  connections instead of printing their tracebacks;
+* :func:`read_headers` — the header-block reader: names lower-cased
+  into a :class:`Headers` map whose lookups ignore case, at most
+  :data:`MAX_LINE` bytes a line and :data:`MAX_HEADERS` lines, control
+  characters (bar HTAB) rejected;
+* :func:`body_length` — ``Content-Length`` is the only body framing
+  spoken: ``Transfer-Encoding`` is refused (411), a malformed or
+  conflicting length is a 400;
+* the one-buffer writers — :func:`encode_request` and
+  :meth:`RouteHandler._send` put the start line, the headers and the
+  body of a message into one buffer for one ``sendall``.
+
+The server half:
+
+* :class:`RouteHandler` — serves one connection, one request at a
+  time: reads the body under the core's size limit (413 after draining
+  an oversized upload), decodes JSON (400 on failure), serves ``GET
+  /metrics``, opens the ``Traceparent`` trace scope, and dispatches
+  through the core's ``(method, path)`` route table (404 for anything
+  else, 501 for a method other than GET and POST).  Every answer is
+  JSON, framing errors included, and a framing error closes the
+  connection.  Keep-alive is the HTTP/1.1 default; ``Connection:
+  close`` and HTTP/1.0 (without ``Connection: keep-alive``) close after
+  the answer, and ``Expect: 100-continue`` is answered with ``100
+  Continue`` before the body is read;
+* :class:`FrontServer` — a thread-per-connection TCP server that counts
+  reset connections instead of printing their tracebacks;
 * :class:`HttpFront` — the socket lifecycle both servers inherit.
 
 A *core* is the HTTP-agnostic object a server wraps
@@ -27,11 +49,25 @@ the connection without answering.
 
 from __future__ import annotations
 
+import email.utils
 import json
+import re
+import socketserver
 import sys
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
+import time
+from http import HTTPStatus
+from typing import (
+    Any,
+    BinaryIO,
+    Callable,
+    Dict,
+    Iterable,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro import obs
 from repro.obs import tracecontext
@@ -43,72 +79,174 @@ Response = Tuple[int, Payload, Dict[str, str]]
 #: ``route(path, document, request_headers)``; ``None`` drops the answer.
 Route = Callable[[str, Any, Mapping[str, str]], Optional[Response]]
 
+#: Longest start or header line read, in bytes (as the stdlib reader).
+MAX_LINE = 65536
+#: Most header lines in one message (as the stdlib reader).
+MAX_HEADERS = 100
+_SERVER = "repro-avail/1"
+_JSON_TYPE = "application/json"
+_METRICS_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
-class RouteHandler(BaseHTTPRequestHandler):
-    """One JSON request/response exchange against the route table."""
+_TOKEN = re.compile(r"[!#$%&'*+.^_`|~0-9A-Za-z-]+")
+_TARGET = re.compile(r"[^\x00-\x20\x7f]+")
+_FIELD_VALUE = re.compile(r"[^\x00-\x08\x0a-\x1f\x7f]*")
+_STATUS_LINES = {
+    status.value: f"HTTP/1.1 {status.value} {status.phrase}"
+    for status in HTTPStatus
+}
+
+
+class FramingError(ValueError):
+    """A message the codec cannot frame; ``status`` is the answer a
+    server gives it (the client treats it as a transport failure)."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+class Headers(dict):
+    """A header block keyed by lower-cased name; lookups ignore case."""
+
+    __slots__ = ()
+
+    def __getitem__(self, name: str) -> str:
+        return super().__getitem__(name.lower())
+
+    def __contains__(self, name: str) -> bool:
+        return super().__contains__(name.lower())
+
+    def get(self, name: str, default: Any = None) -> Any:
+        return super().get(name.lower(), default)
+
+
+def read_headers(rfile: BinaryIO) -> Headers:
+    """Read one header block, through its blank line or EOF.
+
+    The first of repeated fields wins, except that two different
+    ``Content-Length`` values are a framing error.
+    """
+    headers = Headers()
+    for _ in range(MAX_HEADERS + 1):
+        line = rfile.readline(MAX_LINE + 1)
+        if len(line) > MAX_LINE:
+            raise FramingError(
+                431, f"header line longer than {MAX_LINE} bytes"
+            )
+        if line in (b"\r\n", b"\n", b""):
+            return headers
+        name, colon, value = line.decode("latin-1").partition(":")
+        value = value.strip(" \t\r\n")
+        if not (
+            colon and _TOKEN.fullmatch(name) and _FIELD_VALUE.fullmatch(value)
+        ):
+            raise FramingError(400, f"malformed header line {line[:64]!r}")
+        name = name.lower()
+        if name not in headers:
+            headers[name] = value
+        elif name == "content-length" and headers[name] != value:
+            raise FramingError(400, "conflicting Content-Length headers")
+    raise FramingError(431, f"more than {MAX_HEADERS} headers")
+
+
+def body_length(headers: Headers) -> Optional[int]:
+    """The ``Content-Length`` of a message, ``None`` when absent."""
+    if "transfer-encoding" in headers:
+        raise FramingError(
+            411, "Transfer-Encoding is not supported; send Content-Length"
+        )
+    value = headers.get("content-length")
+    if value is None:
+        return None
+    # 18 digits hold any int64 and keep int() far from its digit limit.
+    if not (value.isascii() and value.isdigit() and len(value) <= 18):
+        raise FramingError(400, f"invalid Content-Length {value[:32]!r}")
+    return int(value)
+
+
+def _encode(
+    start: str, fields: Iterable[Tuple[str, str]], body: bytes
+) -> bytes:
+    lines = [start]
+    lines.extend(f"{name}: {value}" for name, value in fields)
+    lines.append("\r\n")
+    return "\r\n".join(lines).encode("latin-1") + body
+
+
+def encode_request(
+    method: str,
+    target: str,
+    host: str,
+    headers: Mapping[str, str],
+    body: Optional[bytes],
+) -> bytes:
+    """One request message, ready for one ``sendall``.
+
+    Raises :class:`ValueError` — before anything is sent — when the
+    method or a header name is not a token, the target holds a space or
+    a control character, or a header value holds a control character
+    other than HTAB (a CR/LF there would smuggle in a second header or
+    request).
+    """
+    if not _TOKEN.fullmatch(method) or not _TARGET.fullmatch(target):
+        raise ValueError(f"invalid request line {method!r} {target!r}")
+    for name, value in headers.items():
+        if not _TOKEN.fullmatch(name) or not _FIELD_VALUE.fullmatch(value):
+            raise ValueError(f"invalid header {name!r}: {value!r}")
+    fields = [("Host", host)]
+    if body is not None:
+        fields.append(("Content-Length", str(len(body))))
+    fields.extend(headers.items())
+    return _encode(f"{method} {target} HTTP/1.1", fields, body or b"")
+
+
+class RouteHandler(socketserver.StreamRequestHandler):
+    """One connection: Content-Length-framed JSON requests against the
+    route table, answered one at a time."""
 
     server: "FrontServer"
-    server_version = "repro-avail/1"
-    protocol_version = "HTTP/1.1"
     # Keep-alive clients pipeline request/response exchanges on one
-    # socket; without TCP_NODELAY the kernel holds the response body
-    # segment until the peer's delayed ACK (~40 ms) arrives, which
-    # would dominate sub-millisecond cache-hit latencies.
+    # socket; without TCP_NODELAY the kernel holds a response segment
+    # until the peer's delayed ACK (~40 ms) arrives, which would
+    # dominate sub-millisecond cache-hit latencies.
     disable_nagle_algorithm = True
 
-    def log_message(self, format: str, *args: Any) -> None:
-        # Route access logs through obs instead of bare stderr writes.
-        obs.event("service.http", message=format % args)
+    def handle(self) -> None:
+        while self._serve_one():
+            pass
 
-    def _send(
-        self,
-        status: int,
-        body: bytes,
-        content_type: str,
-        headers: Optional[Dict[str, str]] = None,
-    ) -> None:
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
-            # The client abandoned the socket — typically a deadline
-            # timeout on a request that was still queued (the batcher
-            # cannot cancel it, so the orphan was processed anyway).
-            # Nobody is listening; drop the response without letting
-            # socketserver splat a traceback per zombie request.
-            obs.counter("service_responses_orphaned_total").inc()
-            self.close_connection = True
-
-    def _send_json(
-        self,
-        status: int,
-        payload: Payload,
-        headers: Optional[Dict[str, str]] = None,
-    ) -> None:
-        body = (
-            payload
-            if isinstance(payload, bytes)
-            else json.dumps(payload, sort_keys=True).encode("utf-8")
-        )
-        self._send(status, body, "application/json", headers)
-
-    def do_GET(self) -> None:
-        if self.path == "/metrics":
-            self._send(
-                200,
-                self.server.core.metrics_text().encode("utf-8"),
-                "text/plain; version=0.0.4; charset=utf-8",
+    def _serve_one(self) -> bool:
+        """Read and answer one request; ``False`` closes the connection."""
+        self._request_line = ""
+        self._keep_alive = False
+        line = self.rfile.readline(MAX_LINE + 1)
+        if not line:
+            return False
+        if len(line) > MAX_LINE:
+            return self._fail(
+                414, f"request line longer than {MAX_LINE} bytes"
             )
-            return
-        self._dispatch(None)
-
-    def do_POST(self) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
+        self._request_line = line.decode("latin-1").rstrip("\r\n")
+        words = self._request_line.split()
+        if len(words) != 3 or not words[2].startswith("HTTP/"):
+            return self._fail(400, f"bad request line {self._request_line!r}")
+        method, path, version = words
+        if version not in ("HTTP/1.0", "HTTP/1.1"):
+            return self._fail(505, f"unsupported protocol version {version!r}")
+        try:
+            headers = read_headers(self.rfile)
+            length = body_length(headers) or 0
+        except FramingError as exc:
+            return self._fail(exc.status, str(exc))
+        connection = headers.get("connection", "").lower()
+        self._keep_alive = connection == "keep-alive" or (
+            version == "HTTP/1.1" and connection != "close"
+        )
+        if (
+            version == "HTTP/1.1"
+            and headers.get("expect", "").lower() == "100-continue"
+        ):
+            self.connection.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
         limit = self.server.max_body_bytes
         if length > limit:
             # Drain the oversized body in bounded chunks before
@@ -121,38 +259,107 @@ class RouteHandler(BaseHTTPRequestHandler):
                 if not chunk:
                     break
                 remaining -= len(chunk)
-            self._send_json(
+            return self._send_json(
                 413, {"error": f"request body exceeds {limit} bytes"}
             )
-            return
         raw = self.rfile.read(length) if length else b""
-        try:
-            document = json.loads(raw.decode("utf-8")) if raw else {}
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            self._send_json(400, {"error": f"invalid JSON body: {exc}"})
-            return
-        self._dispatch(document)
+        if len(raw) < length:
+            return self._fail(
+                400, f"request body ended after {len(raw)} of {length} bytes"
+            )
+        return self._dispatch(method, path, headers, raw)
 
-    def _dispatch(self, document: Any) -> None:
-        route = self.server.routes.get((self.command, self.path))
+    def _dispatch(
+        self, method: str, path: str, headers: Headers, raw: bytes
+    ) -> bool:
+        if method == "GET":
+            if path == "/metrics":
+                return self._send(
+                    200,
+                    self.server.core.metrics_text().encode("utf-8"),
+                    _METRICS_TYPE,
+                )
+            document = None
+        elif method == "POST":
+            try:
+                document = json.loads(raw.decode("utf-8")) if raw else {}
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                return self._send_json(
+                    400, {"error": f"invalid JSON body: {exc}"}
+                )
+        else:
+            return self._fail(501, f"unsupported method {method!r}")
+        route = self.server.routes.get((method, path))
         if route is None:
-            self._send_json(404, {"error": f"unknown endpoint {self.path!r}"})
-            return
+            return self._send_json(
+                404, {"error": f"unknown endpoint {path!r}"}
+            )
         trace_context = tracecontext.parse_traceparent(
-            self.headers.get(tracecontext.TRACEPARENT_HEADER)
+            headers.get(tracecontext.TRACEPARENT_HEADER)
         )
         with tracecontext.trace_scope(trace_context):
-            response = route(self.path, document, self.headers)
+            response = route(path, document, headers)
         if response is None:
-            self.close_connection = True
-            return
-        self._send_json(*response)
+            return False
+        return self._send_json(*response)
+
+    def _fail(self, status: int, message: str) -> bool:
+        """Answer a request the front refuses, then close."""
+        self._keep_alive = False
+        return self._send_json(status, {"error": message})
+
+    def _send_json(
+        self,
+        status: int,
+        payload: Payload,
+        headers: Optional[Dict[str, str]] = None,
+    ) -> bool:
+        body = (
+            payload
+            if isinstance(payload, bytes)
+            else json.dumps(payload, sort_keys=True).encode("utf-8")
+        )
+        return self._send(status, body, _JSON_TYPE, headers)
+
+    def _send(
+        self,
+        status: int,
+        body: bytes,
+        content_type: str,
+        headers: Optional[Dict[str, str]] = None,
+    ) -> bool:
+        """Write one response in one ``sendall``; ``False`` closes."""
+        # Access logs go through obs, never bare stderr writes.
+        obs.event("service.http", message=f'"{self._request_line}" {status} -')
+        fields = [
+            ("Server", _SERVER),
+            ("Date", self.server.date()),
+            ("Content-Type", content_type),
+            ("Content-Length", str(len(body))),
+        ]
+        if headers:
+            fields.extend(headers.items())
+        if not self._keep_alive:
+            fields.append(("Connection", "close"))
+        start = _STATUS_LINES.get(status) or f"HTTP/1.1 {status} "
+        try:
+            self.connection.sendall(_encode(start, fields, body))
+        except (BrokenPipeError, ConnectionResetError):
+            # The client abandoned the socket — typically a deadline
+            # timeout on a request that was still queued (the batcher
+            # cannot cancel it, so the orphan was processed anyway).
+            # Nobody is listening; drop the response without letting
+            # socketserver splat a traceback per zombie request.
+            obs.counter("service_responses_orphaned_total").inc()
+            return False
+        return self._keep_alive
 
 
-class FrontServer(ThreadingHTTPServer):
+class FrontServer(socketserver.ThreadingTCPServer):
     """Thread-per-connection server carrying the core and its routes."""
 
     daemon_threads = True
+    allow_reuse_address = True
     # The default listen backlog (5) drops connections under bursts of
     # short-lived clients; load shedding belongs to the work queue, not
     # the accept queue.
@@ -165,6 +372,16 @@ class FrontServer(ThreadingHTTPServer):
         self.core = core
         self.max_body_bytes = max_body_bytes
         self.routes: Dict[Tuple[str, str], Route] = core.routes()
+        self._date = (0, "")
+
+    def date(self) -> str:
+        """The ``Date`` header value, formatted once per second."""
+        now = int(time.time())
+        second, text = self._date
+        if second != now:
+            text = email.utils.formatdate(now, usegmt=True)
+            self._date = (now, text)
+        return text
 
     def handle_error(self, request: Any, client_address: Any) -> None:
         # A client that hit its deadline tears the socket down while the

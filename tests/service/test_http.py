@@ -7,8 +7,10 @@ to behave the same on both.
 """
 
 import http.client
+import json
 import socket
 import struct
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -20,10 +22,13 @@ from repro.service import (
     ClusterConfig,
     ClusterServer,
     HttpConnectionPool,
+    RetryPolicy,
     ServiceClient,
     ServiceClientError,
     ServiceConfig,
+    ServiceConnectionError,
 )
+from repro.service.http import MAX_HEADERS, MAX_LINE
 
 
 @pytest.fixture(scope="module")
@@ -157,3 +162,344 @@ class TestRelay:
             conn.close()
         assert reply.status == 200
         assert body == relayed[-1]
+
+
+def _exchange_until_eof(front, data, half_close=False):
+    """Send raw bytes on a fresh socket and return every response the
+    front writes before it closes the connection."""
+    with socket.create_connection(front.address, timeout=30) as sock:
+        sock.sendall(data)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return _split_responses(b"".join(chunks))
+
+
+def _split_responses(stream):
+    """``[(status, headers, body)]`` of a Content-Length-framed stream."""
+    responses = []
+    while stream:
+        head, _, stream = stream.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        headers = {}
+        for line in lines[1:]:
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+        length = int(headers.get("content-length", 0))
+        responses.append(
+            (int(lines[0].split()[1]), headers, stream[:length])
+        )
+        stream = stream[length:]
+    return responses
+
+
+def _one_json_answer(responses, status):
+    """The stream held exactly one answer, ``status`` with a JSON error."""
+    assert [r[0] for r in responses] == [status], responses
+    _, headers, body = responses[0]
+    assert headers["content-type"] == "application/json"
+    assert headers["connection"] == "close"
+    return json.loads(body)["error"]
+
+
+_SOLVE_HEAD = (
+    b"POST /v1/solve HTTP/1.1\r\n"
+    b"Host: test\r\n"
+    b"Content-Type: application/json\r\n"
+)
+
+
+class TestRequestFraming:
+    """Content-Length is the only body framing the front speaks; a
+    request it cannot frame gets one JSON answer and a closed socket."""
+
+    @pytest.mark.parametrize("length", [b"abc", b"-5"])
+    def test_malformed_content_length_400(self, front, capfd, length):
+        responses = _exchange_until_eof(
+            front, _SOLVE_HEAD + b"Content-Length: " + length + b"\r\n\r\n{}"
+        )
+        assert "Content-Length" in _one_json_answer(responses, 400)
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_conflicting_content_lengths_400(self, front):
+        responses = _exchange_until_eof(
+            front,
+            _SOLVE_HEAD
+            + b"Content-Length: 2\r\nContent-Length: 5\r\n\r\n{}",
+        )
+        assert "Content-Length" in _one_json_answer(responses, 400)
+
+    def test_chunked_body_411_and_no_desync(self, front):
+        # Read as an empty body, this would solve the default
+        # configuration (200) and parse the chunk bytes as a request.
+        responses = _exchange_until_eof(
+            front,
+            _SOLVE_HEAD
+            + b"Transfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+        )
+        assert "Transfer-Encoding" in _one_json_answer(responses, 411)
+
+    def test_body_cut_short_by_half_close_400(self, front):
+        responses = _exchange_until_eof(
+            front,
+            _SOLVE_HEAD + b"Content-Length: 10\r\n\r\n{}",
+            half_close=True,
+        )
+        assert "2 of 10 bytes" in _one_json_answer(responses, 400)
+
+    @pytest.mark.parametrize(
+        "request_line,status",
+        [
+            (b"GET /healthz HTTP/2.0", 505),
+            (b"GET /healthz", 400),
+            (b"GET /healthz FTP/1.1", 400),
+        ],
+    )
+    def test_malformed_request_line(self, front, request_line, status):
+        responses = _exchange_until_eof(front, request_line + b"\r\n\r\n")
+        _one_json_answer(responses, status)
+
+
+class TestJsonAnswers:
+    """Every answer of the front is JSON, its refusals included."""
+
+    @pytest.mark.parametrize("method", ["PUT", "DELETE"])
+    def test_unsupported_method_501(self, front, method):
+        conn = http.client.HTTPConnection(*front.address, timeout=30)
+        try:
+            conn.request(method, "/v1/solve", body=b"{}")
+            reply = conn.getresponse()
+            body = reply.read()
+        finally:
+            conn.close()
+        assert reply.status == 501
+        assert reply.getheader("Content-Type") == "application/json"
+        assert method in json.loads(body)["error"]
+
+    def test_request_line_too_long_414(self, front):
+        # Exactly one byte over the limit, and nothing after it: the
+        # front reads all of it, so its close is a FIN, not a reset.
+        line = b"GET /" + b"x" * (MAX_LINE - 4)
+        responses = _exchange_until_eof(front, line)
+        assert str(MAX_LINE) in _one_json_answer(responses, 414)
+
+    def test_too_many_headers_431(self, front):
+        fields = b"".join(
+            b"X-Field-%d: v\r\n" % i for i in range(MAX_HEADERS)
+        )
+        responses = _exchange_until_eof(
+            front, b"GET /healthz HTTP/1.1\r\nHost: t\r\n" + fields + b"\r\n"
+        )
+        assert str(MAX_HEADERS) in _one_json_answer(responses, 431)
+
+    def test_header_limit_is_inclusive(self, front):
+        # Host, Connection and these fields: exactly MAX_HEADERS lines.
+        fields = b"".join(
+            b"X-Field-%d: v\r\n" % i for i in range(MAX_HEADERS - 2)
+        )
+        responses = _exchange_until_eof(
+            front,
+            b"GET /healthz HTTP/1.1\r\nHost: t\r\n" + fields
+            + b"Connection: close\r\n\r\n",
+        )
+        assert [r[0] for r in responses] == [200]
+
+    def test_client_error_carries_the_servers_message(self, front):
+        with ServiceClient(front.url) as client:
+            with pytest.raises(ServiceClientError) as excinfo:
+                client._request("/" + "x" * MAX_LINE)
+        assert excinfo.value.status == 414
+        assert str(excinfo.value) == (
+            f"request line longer than {MAX_LINE} bytes"
+        )
+
+
+class TestKeepAliveEdges:
+    def test_half_closed_client_is_answered_then_closed(self, front, capfd):
+        responses = _exchange_until_eof(
+            front,
+            _SOLVE_HEAD + b"Content-Length: 2\r\n\r\n{}",
+            half_close=True,
+        )
+        assert [r[0] for r in responses] == [200]
+        assert "availability" in json.loads(responses[0][2])
+        assert "Traceback" not in capfd.readouterr().err
+
+    @pytest.mark.parametrize(
+        "request_head",
+        [
+            b"GET /healthz HTTP/1.0\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+        ],
+        ids=["http-1.0", "connection-close"],
+    )
+    def test_answer_then_eof(self, front, request_head):
+        responses = _exchange_until_eof(front, request_head)
+        assert [r[0] for r in responses] == [200]
+        assert json.loads(responses[0][2])["status"] == "ok"
+
+    def test_expect_100_continue(self, front):
+        body = b'{"n_instances": 2, "n_pairs": 2}'
+        with socket.create_connection(front.address, timeout=30) as sock:
+            sock.sendall(
+                _SOLVE_HEAD
+                + b"Expect: 100-continue\r\nConnection: close\r\n"
+                + b"Content-Length: %d\r\n\r\n" % len(body)
+            )
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                interim += sock.recv(1)
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            stream = b""
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                stream += chunk
+        responses = _split_responses(stream)
+        assert [r[0] for r in responses] == [200]
+
+    def test_stdlib_client_reuses_one_socket(self, front):
+        conn = http.client.HTTPConnection(*front.address, timeout=60)
+        try:
+            conn.request(
+                "POST",
+                "/v1/solve",
+                body=b'{"n_instances": 2, "n_pairs": 2}',
+                headers={"Content-Type": "application/json"},
+            )
+            solved = conn.getresponse()
+            assert "availability" in json.loads(solved.read())
+            sock = conn.sock
+            conn.request("GET", "/healthz")
+            health = conn.getresponse()
+            assert health.status == 200 and json.loads(health.read())
+            conn.request("GET", "/metrics")
+            metrics = conn.getresponse()
+            assert b"service_requests_total" in metrics.read()
+            assert metrics.getheader("Content-Type").startswith("text/plain")
+            assert sock is not None and conn.sock is sock
+        finally:
+            conn.close()
+
+
+_KEEP_ALIVE_200 = (
+    b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+    b"Content-Length: 2\r\n\r\n{}"
+)
+
+
+class _AnswerOnceThenClose:
+    """A stub origin that answers each connection's first request with
+    ``reply`` (by default a keep-alive ``200 {}``) and then closes it,
+    so the socket the client pooled is stale by its next request."""
+
+    def __init__(self, connections, reply=_KEEP_ALIVE_200):
+        self._reply = reply
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._closed = threading.Semaphore(0)
+        self._thread = threading.Thread(
+            target=self._serve, args=(connections,), daemon=True
+        )
+        self._thread.start()
+        self.url = "http://127.0.0.1:%d" % self._listener.getsockname()[1]
+
+    def _serve(self, connections):
+        for _ in range(connections):
+            conn, _ = self._listener.accept()
+            with conn:
+                head = b""
+                while b"\r\n\r\n" not in head:
+                    chunk = conn.recv(4096)
+                    if not chunk:
+                        break
+                    head += chunk
+                conn.sendall(self._reply)
+            self._closed.release()
+
+    def wait_closed(self):
+        assert self._closed.acquire(timeout=10)
+
+    def close(self):
+        self._thread.join(timeout=10)
+        assert not self._thread.is_alive()
+        self._listener.close()
+
+
+class TestStalePooledSocket:
+    def test_pool_discards_and_redials(self):
+        stub = _AnswerOnceThenClose(connections=2)
+        client = ServiceClient(stub.url, timeout=10)
+        client._sleep = lambda seconds: None
+        assert client.healthz() == {}
+        stub.wait_closed()
+        assert client.healthz() == {}
+        assert client.last_attempts == 2
+        assert client.connections_opened == 2
+        client.close()
+        stub.close()
+
+    def test_single_attempt_raises_one_connection_error(self):
+        stub = _AnswerOnceThenClose(connections=2)
+        client = ServiceClient(
+            stub.url, timeout=10, retry=RetryPolicy(max_attempts=1)
+        )
+        assert client.healthz() == {}
+        stub.wait_closed()
+        with pytest.raises(ServiceConnectionError):
+            client.healthz()
+        assert client.last_attempts == 1
+        assert client.connections_opened == 1
+        assert client.healthz() == {}
+        assert client.connections_opened == 2
+        client.close()
+        stub.close()
+
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nContent-Length: x\r\n\r\n{}",
+            b"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\n{}",
+            b"SMTP ready\r\n\r\n",
+        ],
+        ids=["chunked", "bad-length", "short-body", "not-http"],
+    )
+    def test_unframeable_response_is_a_connection_error(self, reply):
+        stub = _AnswerOnceThenClose(connections=1, reply=reply)
+        client = ServiceClient(
+            stub.url, timeout=10, retry=RetryPolicy(max_attempts=1)
+        )
+        with pytest.raises(ServiceConnectionError):
+            client.healthz()
+        assert client._pool._idle == []
+        client.close()
+        stub.close()
+
+
+class TestRequestHead:
+    @pytest.mark.parametrize(
+        "method,path,headers",
+        [
+            ("GET", "/healthz\r\nX-Smuggled: 1", {}),
+            ("GET", "/health z", {}),
+            ("G\x01T", "/healthz", {}),
+            ("POST", "/v1/solve", {"Idempotency-Key": "k\r\nX-Smuggled: 1"}),
+            ("POST", "/v1/solve", {"Idempotency-Key": "k\x00"}),
+            ("POST", "/v1/solve", {"Bad Name": "v"}),
+        ],
+    )
+    def test_control_characters_rejected_before_dialing(
+        self, method, path, headers
+    ):
+        pool = HttpConnectionPool("127.0.0.1", 1, timeout=1.0)
+        with pytest.raises(ValueError):
+            pool.exchange(method, path, b"{}", headers)
+        assert pool.opened == 0
