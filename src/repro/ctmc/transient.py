@@ -21,7 +21,6 @@ from typing import Dict, Mapping, Optional, Sequence, Union
 
 import numpy as np
 import scipy.linalg
-import scipy.special
 
 from repro.core.model import MarkovModel
 from repro.ctmc.generator import GeneratorMatrix, as_generator
@@ -205,10 +204,12 @@ def _poisson_window(rate: float, tol: float):
     at ``right``.  Weights are evaluated in one vectorized ``gammaln``
     pass instead of a per-term log/exp recurrence.
     """
+    from scipy.special import gammaln
+
     right = _poisson_truncation(rate, tol)
     left = max(0, int(rate - 8.0 * math.sqrt(rate) - 20.0))
     ks = np.arange(left, right + 1, dtype=float)
-    log_weights = ks * math.log(rate) - rate - scipy.special.gammaln(ks + 1.0)
+    log_weights = ks * math.log(rate) - rate - gammaln(ks + 1.0)
     with np.errstate(under="ignore"):
         weights = np.exp(log_weights)
     return left, right, weights

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from scipy import stats
-
 from repro.exceptions import EstimationError
 
 
@@ -76,6 +74,8 @@ def coverage_lower_bound(
     >>> round((1 - bound) * 100, 3)  # FIR upper bound, percent
     0.091
     """
+    from scipy import stats
+
     _validate(n_trials, n_successes, confidence)
     if n_successes == 0:
         return 0.0

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from scipy import stats
-
 from repro.exceptions import EstimationError
 
 
@@ -79,6 +77,8 @@ def failure_rate_upper_bound(
     >>> round(1.0 / failure_rate_upper_bound(0, 2 * 24, 0.995))
     9
     """
+    from scipy import stats
+
     _validate(n_failures, exposure, confidence)
     quantile = stats.chi2.ppf(confidence, 2 * n_failures + 2)
     return float(quantile) / (2.0 * exposure)
@@ -88,6 +88,8 @@ def failure_rate_lower_bound(
     n_failures: int, exposure: float, confidence: float = 0.95
 ) -> float:
     """Lower confidence bound; zero when no failures were observed."""
+    from scipy import stats
+
     _validate(n_failures, exposure, confidence)
     if n_failures == 0:
         return 0.0
@@ -127,6 +129,8 @@ def required_exposure_for_bound(
     occur, the upper bound at ``confidence`` is below ``target_rate``.
     Useful for planning longevity campaigns.
     """
+    from scipy import stats
+
     if target_rate <= 0.0:
         raise EstimationError(f"target rate must be positive, got {target_rate}")
     if not 0.0 < confidence < 1.0:

@@ -6,7 +6,6 @@ import math
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from repro.exceptions import EstimationError
 
@@ -19,6 +18,8 @@ def mean_confidence_interval(
     Returns ``(mean, low, high)``.  With a single sample the interval
     degenerates to the point value.
     """
+    from scipy import stats
+
     if not 0.0 < confidence < 1.0:
         raise EstimationError(f"confidence must be in (0, 1), got {confidence}")
     data = np.asarray(samples, dtype=float)

@@ -32,8 +32,11 @@ The server half:
   the answer, and ``Expect: 100-continue`` is answered with ``100
   Continue`` before the body is read;
 * :class:`FrontServer` — a thread-per-connection TCP server that counts
-  reset connections instead of printing their tracebacks;
-* :class:`HttpFront` — the socket lifecycle both servers inherit.
+  reset connections instead of printing their tracebacks and keeps
+  every open connection, so closing it can end them;
+* :class:`HttpFront` — the socket lifecycle both servers inherit; its
+  :meth:`~HttpFront.close` ends every open connection before it closes
+  the core.
 
 A *core* is the HTTP-agnostic object a server wraps
 (:class:`~repro.service.server.AvailabilityService` or
@@ -52,6 +55,7 @@ from __future__ import annotations
 import email.utils
 import json
 import re
+import socket
 import socketserver
 import sys
 import threading
@@ -83,6 +87,9 @@ Route = Callable[[str, Any, Mapping[str, str]], Optional[Response]]
 MAX_LINE = 65536
 #: Most header lines in one message (as the stdlib reader).
 MAX_HEADERS = 100
+#: How long :meth:`HttpFront.close` waits for requests already inside
+#: the core to be answered before it shuts their sockets.
+CLOSE_TIMEOUT_SECONDS = 5.0
 _SERVER = "repro-avail/1"
 _JSON_TYPE = "application/json"
 _METRICS_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -373,6 +380,46 @@ class FrontServer(socketserver.ThreadingTCPServer):
         self.max_body_bytes = max_body_bytes
         self.routes: Dict[Tuple[str, str], Route] = core.routes()
         self._date = (0, "")
+        #: Open connections and the handler thread serving each.
+        self._connections: Dict[socket.socket, threading.Thread] = {}
+        self._connections_lock = threading.Lock()
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        # ThreadingMixIn's, plus the connection table: the entry is made
+        # on the accept thread, so once shutdown() has returned every
+        # connection this server took is in it.
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            daemon=self.daemon_threads,
+        )
+        with self._connections_lock:
+            self._connections[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request: Any) -> None:
+        with self._connections_lock:
+            self._connections.pop(request, None)
+        super().shutdown_request(request)
+
+    def end_connections(self, timeout: float) -> None:
+        """End every open connection; call after :meth:`shutdown`.
+
+        Reads stop first, so a handler parked between requests sees EOF
+        and closes its socket at once.  A handler whose request is
+        inside the core gets ``timeout`` seconds to answer; after that
+        its socket is shut both ways, so the client sees the connection
+        close, and the handler ends when the core returns.
+        """
+        with self._connections_lock:
+            connections = list(self._connections.items())
+        for request, _ in connections:
+            _shutdown_socket(request, socket.SHUT_RD)
+        deadline = time.monotonic() + timeout
+        for request, thread in connections:
+            thread.join(max(0.0, deadline - time.monotonic()))
+            if thread.is_alive():
+                _shutdown_socket(request, socket.SHUT_RDWR)
 
     def date(self) -> str:
         """The ``Date`` header value, formatted once per second."""
@@ -394,6 +441,13 @@ class FrontServer(socketserver.ThreadingTCPServer):
             obs.counter("service_connections_reset_total").inc()
             return
         super().handle_error(request, client_address)
+
+
+def _shutdown_socket(sock: socket.socket, how: int) -> None:
+    try:
+        sock.shutdown(how)
+    except OSError:  # already closed by its handler
+        pass
 
 
 class HttpFront:
@@ -442,11 +496,19 @@ class HttpFront:
             self.close()
 
     def close(self) -> None:
+        """Stop accepting, end every open connection, close the core.
+
+        Idle keep-alive clients read EOF at once.  A request already
+        inside the core is answered if it finishes within
+        :data:`CLOSE_TIMEOUT_SECONDS`; otherwise its client sees the
+        connection close unanswered.
+        """
         self._httpd.shutdown()
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
+        self._httpd.end_connections(CLOSE_TIMEOUT_SECONDS)
         self._httpd.core.close()
 
     def __enter__(self) -> "HttpFront":

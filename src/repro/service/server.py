@@ -36,7 +36,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -104,6 +104,15 @@ def _check_keys(endpoint: str, document: Mapping[str, Any]) -> None:
             f"unknown field(s) {sorted(unknown)} for {endpoint}; "
             f"allowed: {sorted(_ALLOWED_KEYS[endpoint])}"
         )
+
+
+def _configuration_names(config: JsasConfiguration) -> Set[str]:
+    """Parameters the configuration sets itself: the rates its
+    hierarchy binds to submodel outputs, and what ``merged_values``
+    supplies (``N_pair``).  A request may neither set nor sweep them."""
+    names = {binding.parameter for binding in config.hierarchy().bindings}
+    names.update(config.merged_values({}))
+    return names
 
 
 def _as_int(document: Mapping[str, Any], key: str, default: int) -> int:
@@ -302,6 +311,12 @@ class AvailabilityService:
                 f"'parameters' must be an object, got "
                 f"{type(overrides).__name__}"
             )
+        reserved = _configuration_names(config).intersection(overrides)
+        if reserved:
+            raise BadRequest(
+                f"parameter(s) {sorted(reserved)} are set by the "
+                "configuration, not the request"
+            )
         values = dict(self._base_values)
         values.update(overrides)
         merged = config.merged_values(values)
@@ -472,6 +487,10 @@ class AvailabilityService:
         parameter = document.get("parameter", "Tstart_long_as")
         if not isinstance(parameter, str):
             raise BadRequest(f"'parameter' must be a string: {parameter!r}")
+        if parameter in _configuration_names(config):
+            raise BadRequest(
+                f"cannot sweep {parameter!r}: it is set by the configuration"
+            )
         metric = document.get("metric", "availability")
         if metric not in CONFIG_METRICS:
             raise BadRequest(

@@ -8,15 +8,20 @@ to behave the same on both.
 
 import http.client
 import json
+import multiprocessing
+import os
+import signal
 import socket
 import struct
 import threading
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.service import http as front_http
 from repro.service import (
     AvailabilityServer,
     ClusterConfig,
@@ -37,15 +42,18 @@ def shard():
         yield srv
 
 
-@pytest.fixture(scope="module")
-def router():
-    config = ClusterConfig(
+def _router_config():
+    return ClusterConfig(
         port=0,
         n_shards=1,
         shard=ServiceConfig(port=0, workers=1),
         health_interval_seconds=0.1,
     )
-    with ClusterServer(config) as srv:
+
+
+@pytest.fixture(scope="module")
+def router():
+    with ClusterServer(_router_config()) as srv:
         yield srv
 
 
@@ -503,3 +511,159 @@ class TestRequestHead:
         with pytest.raises(ValueError):
             pool.exchange(method, path, b"{}", headers)
         assert pool.opened == 0
+
+
+def _threads_started_since(before, timeout=0.0):
+    """Threads alive now that were not in ``before``, waiting up to
+    ``timeout`` seconds for them to end."""
+    deadline = time.monotonic() + timeout
+    while True:
+        started = [t for t in threading.enumerate() if t not in before]
+        if not started or time.monotonic() >= deadline:
+            return started
+        time.sleep(0.05)
+
+
+def _wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.02)
+
+
+class TestClose:
+    """``close()`` ends the connections the front still holds, so no
+    handler keeps serving a closed core."""
+
+    @pytest.mark.parametrize("kind", ["shard", "router"])
+    def test_keep_alive_client_sees_the_close(self, kind):
+        before = set(threading.enumerate())
+        server = (
+            AvailabilityServer(ServiceConfig(port=0))
+            if kind == "shard"
+            else ClusterServer(_router_config())
+        ).start()
+        client = ServiceClient(
+            server.url, timeout=10, retry=RetryPolicy(max_attempts=1)
+        )
+        client.solve()
+        server.close()
+        with pytest.raises(ServiceConnectionError):
+            client.solve(parameters={"Tstart_long_as": 1.7})
+        assert client.last_attempts == 1
+        client.close()
+        assert _threads_started_since(before) == []
+
+    def _stalled_solve(self, stall_seconds):
+        """A server, and a solve held in dispatch by a chaos stall."""
+        server = AvailabilityServer(ServiceConfig(port=0, chaos=True))
+        server.start()
+        server.service.injector.arm(
+            "scheduler.stall", delay_seconds=stall_seconds
+        )
+        client = ServiceClient(
+            server.url, timeout=30, retry=RetryPolicy(max_attempts=1)
+        )
+        pool = ThreadPoolExecutor(1)
+        answer = pool.submit(client.solve)
+        _wait_until(
+            lambda: server.service.injector.fired("scheduler.stall") == 1
+        )
+        pool.shutdown(wait=False)
+        return server, client, answer
+
+    def test_request_inside_the_core_is_answered(self):
+        before = set(threading.enumerate())
+        server, client, answer = self._stalled_solve(0.5)
+        server.close()
+        assert answer.result(timeout=10)["serving"]["cache"] == "miss"
+        client.close()
+        assert _threads_started_since(before, timeout=5.0) == []
+
+    def test_request_past_the_timeout_is_a_connection_error(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(front_http, "CLOSE_TIMEOUT_SECONDS", 0.2)
+        before = set(threading.enumerate())
+        server, client, answer = self._stalled_solve(3.0)
+        server.close()
+        with pytest.raises(ServiceConnectionError):
+            answer.result(timeout=30)
+        assert client.last_attempts == 1
+        client.close()
+        # The handler ends, without writing, once the core returns the
+        # stalled request.
+        assert _threads_started_since(before, timeout=10.0) == []
+
+
+def _serve_until_terminated(conn):
+    """Spawned-process entry: a server with one solver worker and the
+    default SIGTERM disposition."""
+    server = AvailabilityServer(
+        ServiceConfig(port=0, worker_processes=1, chaos=True)
+    )
+    conn.send((server.url, server.service.pool._workers[0].process.pid))
+    conn.close()
+    server.serve_forever()
+
+
+def _process_gone(pid):
+    """No such process, or only its zombie is left."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return True
+    return state in ("Z", "X")
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self"), reason="checks processes in /proc"
+)
+class TestSigterm:
+    #: Seconds the server and its solver worker get to be gone.
+    EXIT_TIMEOUT = 10.0
+
+    def test_sigterm_mid_request(self):
+        """SIGTERM while a solve is held in dispatch: the client gets
+        exactly one typed connection error, and neither the server nor
+        its solver worker outlives ``EXIT_TIMEOUT``."""
+        context = multiprocessing.get_context("spawn")
+        parent_conn, child_conn = context.Pipe()
+        process = context.Process(
+            target=_serve_until_terminated, args=(child_conn,)
+        )
+        process.start()
+        child_conn.close()
+        try:
+            assert parent_conn.poll(120), "server did not boot"
+            url, worker_pid = parent_conn.recv()
+            control = ServiceClient(url, timeout=30)
+            control.chaos_arm("scheduler.stall", delay_seconds=60.0)
+            client = ServiceClient(
+                url, timeout=60, retry=RetryPolicy(max_attempts=1)
+            )
+            with ThreadPoolExecutor(1) as pool:
+                answer = pool.submit(client.solve)
+                _wait_until(
+                    lambda: control.chaos_status()["points"][
+                        "scheduler.stall"
+                    ]["fired"] == 1,
+                    timeout=30.0,
+                )
+                control.close()
+                os.kill(process.pid, signal.SIGTERM)
+                with pytest.raises(ServiceConnectionError):
+                    answer.result(timeout=30)
+            assert client.last_attempts == 1
+            client.close()
+            process.join(self.EXIT_TIMEOUT)
+            assert process.exitcode == -signal.SIGTERM
+            _wait_until(
+                lambda: _process_gone(worker_pid), timeout=self.EXIT_TIMEOUT
+            )
+        finally:
+            if process.is_alive():
+                process.kill()
+                process.join()
+            parent_conn.close()

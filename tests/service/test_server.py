@@ -6,6 +6,10 @@ field the service returns must be **bit-identical** to a direct
 exact (``repr`` -> parse), so exact equality is the right assertion.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -159,6 +163,124 @@ class TestValidation:
         with pytest.raises(ServiceClientError) as excinfo:
             client.uncertainty(samples=1, seed=1)
         assert excinfo.value.status == 400
+
+
+class TestConfigurationNames:
+    """Names the configuration sets itself (its bound rates and
+    ``N_pair``) are refused with a 400 that names them, before the
+    cache and the batcher see the request."""
+
+    @pytest.fixture()
+    def service(self):
+        service = AvailabilityService(ServiceConfig(port=0))
+        yield service
+        service.close()
+
+    @pytest.mark.parametrize(
+        "endpoint,document,names",
+        [
+            ("/v1/solve", {"parameters": {"La_appl": 1e-4}}, "['La_appl']"),
+            ("/v1/solve", {"parameters": {"N_pair": 5.0}}, "['N_pair']"),
+            (
+                "/v1/solve",
+                {"parameters": {"Mu_hadb_pair": 1.0, "La_appl": 1e-4}},
+                "['La_appl', 'Mu_hadb_pair']",
+            ),
+            ("/v1/sweep", {"parameters": {"La_appl": 1e-4}}, "['La_appl']"),
+            ("/v1/sweep", {"parameter": "La_appl"}, "'La_appl'"),
+            ("/v1/sweep", {"parameter": "N_pair"}, "'N_pair'"),
+            (
+                "/v1/uncertainty",
+                {"parameters": {"La_hadb_pair": 1e-4}, "seed": 1},
+                "['La_hadb_pair']",
+            ),
+        ],
+        ids=[
+            "solve-bound", "solve-N_pair", "solve-two", "sweep-values",
+            "sweep-bound", "sweep-N_pair", "uncertainty",
+        ],
+    )
+    def test_refused_before_cache_and_batcher(
+        self, service, endpoint, document, names
+    ):
+        batches = service._recorder.metrics.counter("service_batches_total")
+        dispatched = batches.value
+        status, payload, _ = service.handle(endpoint, document)
+        assert status == 400
+        assert names in payload["error"]
+        assert "set by the configuration" in payload["error"]
+        assert batches.value == dispatched
+        assert len(service.cache) == 0
+
+    def test_unknown_names_still_reach_the_solver(self, service):
+        """A name no model reads passes (the metastable campaign uses
+        one to bust the cache), and so does ``N_pair`` on a shape
+        without an HADB tier, which does not set it."""
+        status, payload, _ = service.handle(
+            "/v1/solve", {"parameters": {"lambda_as": 1.0}}
+        )
+        assert status == 200, payload
+        status, payload, _ = service.handle(
+            "/v1/solve",
+            {"n_instances": 1, "n_pairs": 0, "parameters": {"N_pair": 5.0}},
+        )
+        assert status == 200, payload
+
+    def test_over_http(self, client):
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.solve(parameters={"La_appl": 1e-4})
+        assert excinfo.value.status == 400
+        assert "['La_appl']" in str(excinfo.value)
+
+
+class TestImportGraph:
+    """Serving never loads ``scipy.stats`` or ``scipy.special``: they
+    are over half of a cold ``import repro.service``, and only the
+    confidence-bound estimators and transient solves call them."""
+
+    def test_serving_loads_neither_scipy_stats_nor_special(self):
+        script = textwrap.dedent(
+            """
+            import sys
+
+            import repro.cli
+            import repro.service
+            from repro.service import AvailabilityService, ServiceConfig
+
+            service = AvailabilityService(ServiceConfig(port=0))
+            try:
+                for endpoint, document in [
+                    ("/v1/solve", {}),
+                    ("/v1/solve", {"n_instances": 11, "n_pairs": 2}),
+                    ("/v1/sweep", {"points": 3}),
+                    ("/v1/uncertainty", {"samples": 16, "seed": 1}),
+                ]:
+                    status, payload, _ = service.handle(endpoint, document)
+                    assert status == 200, (endpoint, payload)
+            finally:
+                service.close()
+            print(sorted(
+                name for name in sys.modules
+                if name.split(".")[:2] in (
+                    ["scipy", "stats"], ["scipy", "special"]
+                )
+            ))
+            """
+        )
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(
+            os.environ,
+            PYTHONPATH=src if not path else os.pathsep.join([src, path]),
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip().splitlines()[-1] == "[]"
 
 
 class TestShedding:
