@@ -18,12 +18,10 @@ from __future__ import annotations
 from typing import Dict, Mapping, Optional, Sequence, Union
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.core.model import MarkovModel
 from repro.ctmc.generator import GeneratorMatrix, as_generator
-from repro.ctmc.structure import reachable_from
+from repro.ctmc.structure import _reaching
 from repro.exceptions import SolverError, StructureError
 
 
@@ -60,8 +58,10 @@ def mean_time_to_absorption(
     n = block.n_states
     rhs = -np.ones(n)
     if block.is_sparse:
+        from scipy.sparse.linalg import spsolve
+
         try:
-            m = spla.spsolve(block.matrix.tocsr(), rhs)
+            m = spsolve(block.matrix.tocsr(), rhs)
         except Exception as exc:  # pragma: no cover
             raise SolverError(f"sparse MTTA solve failed: {exc}") from exc
     else:
@@ -138,9 +138,11 @@ def absorption_probabilities(
         for k, target in enumerate(targets):
             r[i, k] = generator.rate(source, target)
     if block.is_sparse:
+        from scipy.sparse.linalg import spsolve
+
         a = block.matrix.tocsc()
         try:
-            x = spla.spsolve(a, -r)
+            x = spsolve(a, -r)
         except Exception as exc:  # pragma: no cover
             raise SolverError(f"sparse absorption solve failed: {exc}") from exc
         x = np.asarray(x, dtype=float).reshape(len(transient), len(targets))
@@ -164,9 +166,14 @@ def absorption_probabilities(
 def _require_targets_reachable(
     generator: GeneratorMatrix, transient: Sequence[str], targets: set
 ) -> None:
+    """Raise for the first transient state that cannot reach a target.
+
+    One reverse search from the whole target set answers for every
+    state at once.
+    """
+    reaches = _reaching(generator, targets)
     for name in transient:
-        reachable = set(reachable_from(generator, [name]))
-        if not (reachable & targets):
+        if not reaches[generator.index_of(name)]:
             raise StructureError(
                 f"state {name!r} cannot reach any target state "
                 f"{sorted(targets)}; hitting time is infinite"

@@ -45,8 +45,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
 
 from repro import obs
 from repro.core.compiled import ColumnLike, CompiledModel, compile_model
@@ -64,7 +62,7 @@ from repro.kernels.banded import banded_kernel_plan, banded_steady_state
 from repro.kernels.dense import dense_gth, dense_kernel_plan
 from repro.ctmc.rewards import _equivalent_rates
 from repro.ctmc.steady_state import _solve, steady_state_vector
-from repro.ctmc.structure import classify_states
+from repro.ctmc.structure import _reachable_mask, classify_states
 from repro.exceptions import SolverError, StructureError
 from repro.units import unavailability_to_yearly_downtime_minutes
 
@@ -105,6 +103,8 @@ def _pattern_generator(
     """A unit-rate generator with the pattern's adjacency (for structure)."""
     n = compiled.n_states
     if n >= SPARSE_THRESHOLD:
+        import scipy.sparse as sp
+
         src = compiled.transition_sources[pattern]
         tgt = compiled.transition_targets[pattern]
         off = sp.coo_matrix(
@@ -132,27 +132,19 @@ def _first_mtta_offender(
 ) -> Optional[int]:
     """Lowest-index up state that cannot reach the down set, or ``None``.
 
-    One reverse BFS from the whole down set (via a virtual super-source)
-    replaces the old per-up-state forward search — O(E) instead of
-    O(n_up * E), which matters once SPN-derived chains reach 10^4+
-    states.
+    One reverse search from the whole down set over the pattern's arcs
+    — O(E) instead of O(n_up * E), which matters once SPN-derived
+    chains reach 10^4+ states.  Sparse-sized models search with
+    csgraph, as :func:`_pattern_generator` splits.
     """
     n = compiled.n_states
-    src = compiled.transition_sources[pattern]
-    tgt = compiled.transition_targets[pattern]
-    down = compiled.down_idx
-    # Reverse edges (tgt -> src) plus a virtual root n feeding every
-    # down state; everything BFS reaches from the root can reach down.
-    rows = np.concatenate([tgt, np.full(down.size, n, dtype=np.intp)])
-    cols = np.concatenate([src, down])
-    adjacency = sp.coo_matrix(
-        (np.ones(rows.size), (rows, cols)), shape=(n + 1, n + 1)
-    ).tocsr()
-    order = csgraph.breadth_first_order(
-        adjacency, n, directed=True, return_predecessors=False
+    can_reach = _reachable_mask(
+        n,
+        compiled.transition_targets[pattern],
+        compiled.transition_sources[pattern],
+        compiled.down_idx,
+        sparse=n >= SPARSE_THRESHOLD,
     )
-    can_reach = np.zeros(n + 1, dtype=bool)
-    can_reach[order] = True
     blocked = np.flatnonzero(~can_reach[compiled.up_idx])
     if blocked.size:
         return int(compiled.up_idx[blocked[0]])
@@ -503,6 +495,8 @@ def _sample_generator(
     compiled: CompiledModel, rates_row: np.ndarray
 ) -> GeneratorMatrix:
     """One sample's sparse generator (zero rates dropped, as scalar)."""
+    import scipy.sparse as sp
+
     n = compiled.n_states
     mask = rates_row > 0.0
     src = compiled.transition_sources[mask]

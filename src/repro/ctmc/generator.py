@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.core.model import MarkovModel
 from repro.exceptions import ModelError, SolverError
@@ -63,7 +62,7 @@ class GeneratorMatrix:
 
     @property
     def is_sparse(self) -> bool:
-        return sp.issparse(self.matrix)
+        return not isinstance(self.matrix, np.ndarray)
 
     def index_of(self, name: str) -> int:
         """Row index of a state name."""
@@ -175,6 +174,8 @@ def build_generator(
         rates.append(rate)
 
     if sparse:
+        import scipy.sparse as sp
+
         off = sp.coo_matrix((rates, (rows, cols)), shape=(n, n)).tocsr()
         diagonal = -np.asarray(off.sum(axis=1)).ravel()
         matrix = off + sp.diags(diagonal)

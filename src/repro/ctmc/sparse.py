@@ -40,8 +40,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro import obs
 from repro.exceptions import SolverError
@@ -265,8 +263,10 @@ class CsrPattern:
             self._const_slots = np.empty(0, np.intp)
             self._const_vals = np.empty(0, float)
 
-    def assemble(self, rates_row: np.ndarray) -> sp.csr_matrix:
+    def assemble(self, rates_row: np.ndarray) -> "scipy.sparse.csr_matrix":
         """CSR matrix for one sample's transition rates."""
+        import scipy.sparse as sp
+
         data = np.zeros(self.nnz)
         if self._const_slots.size:
             data[self._const_slots] = self._const_vals
@@ -317,9 +317,11 @@ class SparseSteadyStateSolver:
             SolverError: When the factorization fails or its vector is
                 not a probability vector.
         """
+        from scipy.sparse.linalg import splu
+
         a = self._pattern.assemble(rates_row)
         try:
-            x = spla.splu(a.tocsc()).solve(self._rhs)
+            x = splu(a.tocsc()).solve(self._rhs)
         except (RuntimeError, ValueError) as exc:
             raise SolverError(
                 f"sparse steady-state solve failed: {exc}"
@@ -390,9 +392,11 @@ class SparseUpBlockSolver:
         """Mean time from state 0 into the down set, or ``None`` on
         failure (the caller falls back to the flow abstraction, exactly
         like the dense path)."""
+        from scipy.sparse.linalg import splu
+
         a = self._pattern.assemble(rates_row)
         try:
-            m = spla.splu(a.tocsc()).solve(self._rhs)
+            m = splu(a.tocsc()).solve(self._rhs)
         except (RuntimeError, ValueError):
             return None
         m = np.asarray(m, dtype=float).ravel()

@@ -36,8 +36,6 @@ from __future__ import annotations
 from typing import Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro import obs
 from repro.core.model import MarkovModel
@@ -209,6 +207,9 @@ def _solve_direct(generator: GeneratorMatrix) -> np.ndarray:
     """Replace the last balance equation with normalization and LU-solve."""
     n = generator.n_states
     if generator.is_sparse:
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
         a = sp.lil_matrix(generator.matrix.T)
         a[n - 1, :] = 1.0
         b = np.zeros(n)

@@ -20,7 +20,6 @@ import math
 from typing import Dict, Mapping, Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 from repro.core.model import MarkovModel
 from repro.ctmc.generator import GeneratorMatrix, as_generator
@@ -92,7 +91,9 @@ def transient_distribution(
     if method == "uniformization":
         pt = _uniformization(generator, p0, t, tol)
     elif method == "expm":
-        pt = p0 @ scipy.linalg.expm(generator.dense() * t)
+        from scipy.linalg import expm
+
+        pt = p0 @ expm(generator.dense() * t)
     else:
         raise SolverError(
             f"unknown transient method {method!r}; "

@@ -44,7 +44,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import lapack as _lapack
 
 from repro import obs
 from repro.ctmc.sparse import BandedStructure, gth_banded_batch
@@ -245,7 +244,9 @@ def _dgbsv_block(plan: BandedKernelPlan, ab_flat: np.ndarray,
     ``ab_flat`` is the C-order ``(blocks*nm, wtot)`` band storage (its
     transpose is the F-order LAPACK input) and is overwritten.
     """
-    _, _, x, info = _lapack.dgbsv(
+    from scipy.linalg.lapack import dgbsv
+
+    _, _, x, info = dgbsv(
         plan.kl, plan.ku, ab_flat.T, rhs_flat,
         overwrite_ab=1, overwrite_b=1,
     )

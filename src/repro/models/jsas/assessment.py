@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis.report import render_table
-from repro.analysis.risk import annual_downtime_risk
 from repro.models.jsas.configs import (
     compare_configurations,
     optimal_configuration,
@@ -25,7 +23,6 @@ from repro.models.jsas.configs import (
 )
 from repro.models.jsas.parameters import PAPER_PARAMETERS
 from repro.models.jsas.system import JsasConfiguration
-from repro.sensitivity import parametric_sweep
 from repro.units import nines_to_availability
 
 
@@ -73,6 +70,10 @@ def generate_assessment(
             for quick runs; the defaults keep the call under a minute).
         seed: RNG seed for the sampled sections.
     """
+    from repro.analysis.report import render_table
+    from repro.analysis.risk import annual_downtime_risk
+    from repro.sensitivity import parametric_sweep
+
     values = dict(values) if values is not None else PAPER_PARAMETERS.to_dict()
     primary = primary or JsasConfiguration(2, 2)
 

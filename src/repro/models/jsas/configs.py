@@ -9,7 +9,9 @@ distribution set for the Figs. 7-8 uncertainty analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -21,7 +23,11 @@ from repro.models.jsas.parameters import (
     UNCERTAINTY_RANGES,
 )
 from repro.models.jsas.system import JsasConfiguration
-from repro.uncertainty import Uniform, UncertaintyAnalysis, UncertaintyResult
+
+if TYPE_CHECKING:
+    from repro.uncertainty import (
+        Uniform, UncertaintyAnalysis, UncertaintyResult,
+    )
 
 #: Metrics a batch-capable configuration metric can report.
 CONFIG_METRICS = ("availability", "yearly_downtime_minutes", "mtbf_hours")
@@ -155,6 +161,8 @@ def optimal_configuration(
 
 def uncertainty_distributions() -> Dict[str, Uniform]:
     """Uniform distributions over the paper's Section 7 ranges."""
+    from repro.uncertainty import Uniform
+
     return {
         name: Uniform(low, high)
         for name, (low, high) in UNCERTAINTY_RANGES.items()
@@ -173,6 +181,8 @@ def build_uncertainty_analysis(
     ``metric`` may be ``"yearly_downtime_minutes"`` (the figures' y-axis),
     ``"availability"`` or ``"mtbf_hours"``.
     """
+    from repro.uncertainty import UncertaintyAnalysis
+
     base = dict(values) if values is not None else PAPER_PARAMETERS.to_dict()
     return UncertaintyAnalysis(
         metric=HierarchicalConfigMetric(

@@ -1,13 +1,18 @@
 """Unit tests for absorption analysis (MTTA, MTTF, hitting probabilities)."""
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from repro.core.model import MarkovModel
 from repro.ctmc.absorption import (
+    _require_targets_reachable,
     absorption_probabilities,
     mean_time_to_absorption,
     mean_time_to_failure,
 )
+from repro.ctmc.generator import GeneratorMatrix
 from repro.exceptions import SolverError, StructureError
 
 
@@ -130,3 +135,76 @@ class TestAbsorptionProbabilities:
         probs = absorption_probabilities(three_state_model, ["Down"], {})
         for state, row in probs.items():
             assert sum(row.values()) == pytest.approx(1.0)
+
+
+def first_state_missing_targets(q, transient, targets):
+    """The per-state definition: a forward search from each transient
+    state in turn; the first that reaches no target."""
+    n = q.shape[0]
+    for start in transient:
+        seen = {start}
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if j != i and q[i, j] > 0.0 and j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        if not seen & targets:
+            return start
+    return None
+
+
+@st.composite
+def chains_with_targets(draw):
+    n = draw(st.integers(2, 40))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    arcs = draw(
+        st.lists(
+            pair.filter(lambda p: p[0] != p[1]),
+            max_size=draw(st.sampled_from([n, 3 * n])),
+            unique=True,
+        )
+    )
+    targets = draw(
+        st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1)
+    )
+    q = np.zeros((n, n))
+    for i, j in arcs:
+        q[i, j] = 1.0
+    np.fill_diagonal(q, -q.sum(axis=1))
+    return q, targets
+
+
+class TestTargetReachability:
+    """One reverse search from the target set gives the per-state
+    definition's verdict and names the same first state."""
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @settings(max_examples=100, deadline=None)
+    @given(chain=chains_with_targets())
+    def test_matches_per_state_search(self, chain, sparse):
+        q, targets = chain
+        n = q.shape[0]
+        names = tuple(f"s{i}" for i in range(n))
+        generator = GeneratorMatrix(
+            matrix=sp.csr_matrix(q) if sparse else q,
+            state_names=names,
+            rewards=np.ones(n),
+        )
+        transient = [i for i in range(n) if i not in targets]
+        target_names = {names[i] for i in targets}
+        offender = first_state_missing_targets(q, transient, targets)
+        if offender is None:
+            _require_targets_reachable(
+                generator, [names[i] for i in transient], target_names
+            )
+            return
+        with pytest.raises(StructureError) as excinfo:
+            _require_targets_reachable(
+                generator, [names[i] for i in transient], target_names
+            )
+        assert str(excinfo.value) == (
+            f"state {names[offender]!r} cannot reach any target state "
+            f"{sorted(target_names)}; hitting time is infinite"
+        )

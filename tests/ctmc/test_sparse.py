@@ -282,12 +282,12 @@ class TestDispatchAndDiagnostics:
     def test_sparse_factorization_failure_names_sample(self, monkeypatch):
         """A failed splu surfaces as a SolverError naming the model and
         the sample; there is no second rung."""
-        import repro.ctmc.sparse as sparse
+        import scipy.sparse.linalg
 
         def fail(*args, **kwargs):
             raise RuntimeError("Factor is exactly singular")
 
-        monkeypatch.setattr(sparse.spla, "splu", fail)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", fail)
         model = build_appserver_model(4)
         with pytest.raises(
             SolverError, match=rf"model {model.name!r}, sample 0"

@@ -13,6 +13,7 @@ import os
 import signal
 import socket
 import struct
+import sys
 import threading
 import time
 import urllib.error
@@ -553,6 +554,20 @@ class TestClose:
         assert client.last_attempts == 1
         client.close()
         assert _threads_started_since(before) == []
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"),
+        reason="elsewhere the accept loop ends at its 0.5 s poll",
+    )
+    def test_idle_close_does_not_wait_for_the_accept_poll(self):
+        """``close()`` wakes the accept loop instead of waiting out its
+        0.5 s poll."""
+        server = AvailabilityServer(ServiceConfig(port=0)).start()
+        with ServiceClient(server.url) as client:
+            client.solve()
+        started = time.monotonic()
+        server.close()
+        assert time.monotonic() - started < 0.1
 
     def _stalled_solve(self, stall_seconds):
         """A server, and a solve held in dispatch by a chaos stall."""

@@ -6,6 +6,7 @@ field the service returns must be **bit-identical** to a direct
 exact (``repr`` -> parse), so exact equality is the right assertion.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -236,7 +237,9 @@ class TestConfigurationNames:
 class TestImportGraph:
     """Serving never loads ``scipy.stats`` or ``scipy.special``: they
     are over half of a cold ``import repro.service``, and only the
-    confidence-bound estimators and transient solves call them."""
+    confidence-bound estimators and transient solves call them.  At the
+    Table 3 shapes serving loads no scipy at all: dense chains are
+    classified without ``csgraph``."""
 
     def test_serving_loads_neither_scipy_stats_nor_special(self):
         script = textwrap.dedent(
@@ -281,6 +284,72 @@ class TestImportGraph:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip().splitlines()[-1] == "[]"
+
+    def test_serving_table3_shapes_loads_no_scipy(self):
+        """``import repro.service`` loads numpy and the solve path only:
+        no scipy and none of the analysis stack.  Solving every Table 3
+        shape, a sweep and a seeded uncertainty run load no scipy
+        either."""
+        script = textwrap.dedent(
+            """
+            import json
+            import sys
+
+            import repro.service
+            from repro.models.jsas import TABLE3_CONFIGURATIONS
+            from repro.service import AvailabilityService, ServiceConfig
+
+            ANALYSIS = (
+                "uncertainty", "analysis", "simulation", "sensitivity",
+                "estimation", "parallel",
+            )
+
+            def loaded(packages):
+                # Loaded scipy modules, and modules of repro.<packages>.
+                return sorted(
+                    name for name in sys.modules
+                    if name.split(".")[0] == "scipy"
+                    or name.split(".")[:2] in [
+                        ["repro", package] for package in packages
+                    ]
+                )
+
+            at_import = loaded(ANALYSIS)
+            service = AvailabilityService(ServiceConfig(port=0))
+            try:
+                requests = [
+                    ("/v1/solve", {"n_instances": n, "n_pairs": p})
+                    for n, p in TABLE3_CONFIGURATIONS
+                ] + [
+                    ("/v1/sweep", {"points": 3}),
+                    ("/v1/uncertainty", {"samples": 16, "seed": 1}),
+                ]
+                for endpoint, document in requests:
+                    status, payload, _ = service.handle(endpoint, document)
+                    assert status == 200, (endpoint, payload)
+            finally:
+                service.close()
+            print(json.dumps([at_import, loaded(())]))
+            """
+        )
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(
+            os.environ,
+            PYTHONPATH=src if not path else os.pathsep.join([src, path]),
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        at_import, after_requests = json.loads(
+            result.stdout.strip().splitlines()[-1]
+        )
+        assert at_import == []
+        assert after_requests == []
 
 
 class TestShedding:
