@@ -37,7 +37,6 @@ import numpy as np
 
 from repro import artifacts
 from repro._version import __version__
-from repro.analysis.report import render_table
 from repro.exceptions import ArtifactError
 from repro.models.jsas import (
     CONFIG_1,
@@ -47,7 +46,6 @@ from repro.models.jsas import (
     optimal_configuration,
 )
 from repro.obs.console import Reporter
-from repro.sensitivity import parametric_sweep
 from repro.units import nines_to_availability
 
 
@@ -130,6 +128,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_table2(args: argparse.Namespace) -> int:
+    from repro.analysis.report import render_table
+
     reporter = _reporter(args)
     rows = []
     for label, (n_as, n_pairs) in (
@@ -162,6 +162,8 @@ def _cmd_table2(args: argparse.Namespace) -> int:
 
 
 def _cmd_table3(args: argparse.Namespace) -> int:
+    from repro.analysis.report import render_table
+
     reporter = _reporter(args)
     rows = compare_configurations()
     reporter.line(
@@ -181,7 +183,9 @@ def _cmd_table3(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.analysis.report import render_table
     from repro.models.jsas.configs import HierarchicalConfigMetric
+    from repro.sensitivity import parametric_sweep
 
     reporter = _reporter(args)
     if getattr(args, "fitted", None):
@@ -240,7 +244,9 @@ def _cmd_sweep_fitted(
     args: argparse.Namespace, reporter: "Reporter"
 ) -> int:
     """Parametric what-if sweep over the fitted cluster model."""
+    from repro.analysis.report import render_table
     from repro.selfmodel import ClusterSelfModel
+    from repro.sensitivity import parametric_sweep
 
     model = ClusterSelfModel.from_artifact(args.fitted)
     parameter = args.parameter or "Mu_restore"

@@ -85,7 +85,9 @@ class CompiledModel:
         for t in self.transitions:
             names |= set(t.rate.variables)
         self.required_parameters = frozenset(names)
-        self._program = RateProgram(
+        #: The deduplicated rate program (vectorized, and on floats for
+        #: one-point solves of an arithmetic model).
+        self.program = RateProgram(
             tuple(t.rate.source for t in self.transitions)
         )
         self._namespace = vector_namespace()
@@ -176,7 +178,7 @@ class CompiledModel:
             with np.errstate(
                 divide="ignore", invalid="ignore", over="ignore"
             ):
-                self._program.evaluate(
+                self.program.evaluate(
                     columns, n_samples, self._namespace, out
                 )
         except ZeroDivisionError:

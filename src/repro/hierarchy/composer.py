@@ -16,8 +16,11 @@ For the paper's Fig. 2 this is exact: ``AS_Fail`` is entered only via
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -25,12 +28,23 @@ from repro import obs
 from repro.core.compiled import ColumnLike, CompiledModel, compile_model
 from repro.core.model import MarkovModel
 from repro.core.parameters import ParameterSet
-from repro.ctmc.batch import BatchAvailability, batch_availability
+from repro.ctmc.batch import (
+    BatchAvailability,
+    _all_positive_regular,
+    _resolve_engine,
+    batch_availability,
+)
 from repro.ctmc.rewards import AvailabilityResult, steady_state_availability
 from repro.exceptions import ModelError
 from repro.hierarchy.binding import RateBinding, resolve_bindings
 from repro.hierarchy.interface import SubmodelInterface, abstract_submodel
+from repro.kernels.dense import PointKernel, dense_kernel_plan
 from repro.units import unavailability_to_yearly_downtime_minutes
+
+#: One-point solves (:meth:`CompiledHierarchy.solve_point`) by the path
+#: that answered: ``path="kernel"`` (floats and the C kernel) or
+#: ``path="batch"`` (the one-sample batch solve).
+POINT_SOLVES_COUNTER = "hierarchy_point_solves_total"
 
 
 @dataclass(frozen=True)
@@ -219,21 +233,11 @@ class HierarchicalModel:
                     abstraction=abstraction,
                 )
 
-        reports: Dict[str, SubmodelReport] = {}
-        total_downtime = system.yearly_downtime_minutes
-        for key in self._submodels:
-            minutes = sum(
-                system.downtime_by_state.get(state, 0.0)
-                for state in self._attributions[key]
-            )
-            fraction = minutes / total_downtime if total_downtime > 0 else 0.0
-            reports[key] = SubmodelReport(
-                interface=interfaces[key],
-                downtime_minutes=minutes,
-                downtime_fraction=fraction,
-            )
-        return HierarchicalResult(
-            system=system, submodels=reports, bound_parameters=bound
+        return _hierarchical_result(
+            system,
+            {key: interface.detail for key, interface in interfaces.items()},
+            self._attributions,
+            bound,
         )
 
     def compile(self) -> "CompiledHierarchy":
@@ -325,6 +329,8 @@ class CompiledHierarchy:
     For ``method="direct"`` on arithmetic-only rate expressions the
     per-sample results are bit-identical to :meth:`HierarchicalModel.solve`
     (enforced by ``tests/hierarchy/test_compiled.py``).
+    :meth:`solve_point` answers one sample without NumPy and equals
+    the one-sample :meth:`solve_batch` (``tests/hierarchy/test_point.py``).
     """
 
     def __init__(self, hierarchy: HierarchicalModel) -> None:
@@ -344,6 +350,10 @@ class CompiledHierarchy:
             for parameter, b in self._bindings.items()
         )
         self._signature = self._current_signature(hierarchy)
+        # (method, abstraction) -> one-point plan; None: the batch path.
+        self._point_plans: Dict[
+            Tuple[str, str], Optional[_HierarchyPlan]
+        ] = {}
 
     @staticmethod
     def _current_signature(hierarchy: HierarchicalModel):
@@ -408,6 +418,198 @@ class CompiledHierarchy:
             bound_parameters=bound,
             attributions=dict(self._attributions),
         )
+
+    def solve_point(
+        self,
+        values: Mapping[str, float],
+        method: str = "auto",
+        abstraction: str = "mttf",
+    ) -> HierarchicalResult:
+        """One sample's result, equal to the one-sample :meth:`solve_batch`.
+
+        ``solve_batch(values, n_samples=1, ...).result_at(0)``, computed
+        without NumPy when every model qualifies: its engine is the
+        dense GTH kernel (``"auto"`` below
+        :data:`~repro.ctmc.sparse.BANDED_MIN_STATES` states, or
+        ``"gth"``), its all-positive pattern is irreducible, it has an
+        up state (the initial one under ``"mttf"``), its rate program is
+        arithmetic only, and the host has loaded the C kernel.  Each
+        model's rates are then evaluated on Python floats and solved by
+        one kernel call on ctypes buffers.  Any other case goes to the
+        batch path, so its errors, messages and edge cases stay the
+        batch path's: a missing or non-numeric value, an arithmetic
+        error, a rate that is not a finite positive float, or a kernel
+        status.  Counted in :data:`POINT_SOLVES_COUNTER`.
+        """
+        plans = self._point_plans
+        key = (method, abstraction)
+        if key not in plans:
+            plans[key] = self._hierarchy_plan(method, abstraction)
+        plan = plans[key]
+        floats = None
+        if plan is not None and plan.top.kernel.loaded():
+            floats = _point_values(plan, values)
+        if floats is not None:
+            with obs.span(
+                "hierarchy.solve_batch",
+                model=self.top.model_name,
+                method=method,
+                n_samples=1,
+            ):
+                result = self._solve_point(plan, floats)
+            if result is not None:
+                obs.counter(POINT_SOLVES_COUNTER, path="kernel").inc()
+                return result
+        obs.counter(POINT_SOLVES_COUNTER, path="batch").inc()
+        return self.solve_batch(
+            values, n_samples=1, method=method, abstraction=abstraction
+        ).result_at(0)
+
+    def _hierarchy_plan(
+        self, method: str, abstraction: str
+    ) -> Optional["_HierarchyPlan"]:
+        """The hierarchy's one-point plan, or ``None`` for the batch path."""
+        if method not in ("auto", "gth"):
+            return None
+        if abstraction not in ("mttf", "flow"):
+            return None
+        mttf = abstraction == "mttf"
+        plans: List[_PointPlan] = []
+        for compiled in (*self.submodels.values(), self.top):
+            if _resolve_engine(compiled, method) != "gth":
+                return None
+            plan = _point_plan(compiled)
+            if plan is None or (mttf and not plan.initial_up):
+                return None
+            plans.append(plan)
+        bound = tuple(self._bindings)
+        names = set(self.top.required_parameters).difference(bound)
+        for compiled in self.submodels.values():
+            names.update(compiled.required_parameters)
+        return _HierarchyPlan(
+            submodels=tuple(zip(self.submodels, plans[:-1])),
+            top=plans[-1],
+            parameters=tuple(sorted(names)),
+            bound=bound,
+            mttf=mttf,
+        )
+
+    def _solve_point(
+        self, plan: "_HierarchyPlan", floats: Dict[str, float]
+    ) -> Optional[HierarchicalResult]:
+        """The kernel path of :meth:`solve_point` (``None``: batch path)."""
+        details: Dict[str, AvailabilityResult] = {}
+        for key, model in plan.submodels:
+            with obs.span("hierarchy.submodel", submodel=key):
+                detail = model.solve(floats, plan.mttf)
+            if detail is None:
+                return None
+            details[key] = detail
+        bound: Dict[str, float] = {}
+        for parameter, submodel, output, scale in self._binding_table:
+            detail = details[submodel]
+            if output == "unavailability":
+                value = 1.0 - detail.availability
+            else:
+                value = getattr(detail, output)
+            bound[parameter] = value * scale
+        floats.update(bound)
+        with obs.span("hierarchy.top", model=self.top.model_name):
+            system = plan.top.solve(floats, plan.mttf)
+        if system is None:
+            return None
+        return _hierarchical_result(
+            system, details, self._attributions, bound
+        )
+
+
+class _PointPlan:
+    """One compiled model's one-point solve, as plain Python objects.
+
+    The rate program, the dense C kernel for one sample, the state names
+    and the down states as ``(index, name)`` pairs; built once per
+    compiled model by :func:`_point_plan`.
+    """
+
+    __slots__ = ("program", "kernel", "n", "state_names", "down",
+                 "initial_up")
+
+    def __init__(self, compiled: CompiledModel) -> None:
+        self.program = compiled.program
+        self.kernel = PointKernel(dense_kernel_plan(compiled))
+        self.n = compiled.n_states
+        self.state_names = compiled.state_names
+        self.down = tuple(
+            (int(i), compiled.state_names[i]) for i in compiled.down_idx
+        )
+        self.initial_up = bool(compiled.up_mask[0])
+
+    def solve(
+        self, floats: Dict[str, float], mttf: bool
+    ) -> Optional[AvailabilityResult]:
+        """The model's availability at ``floats`` (``None``: batch path)."""
+        rates = self.program.evaluate_point(floats)
+        if rates is None:
+            return None
+        out = self.kernel(rates, mttf)
+        n = self.n
+        lam, mu, status, p_up, p_down = out[n:]
+        if status != 0.0 or not p_up > 0.0:
+            return None
+        return _availability_result(
+            self.state_names, self.down, out[:n],
+            min(1.0, max(0.0, p_up)), p_down, lam, mu,
+        )
+
+
+def _point_plan(compiled: CompiledModel) -> Optional[_PointPlan]:
+    """The model's one-point plan, cached in ``solver_cache``.
+
+    ``None`` unless the model has an up state, its rate program is
+    arithmetic only and its all-positive pattern is irreducible.
+    """
+    cache = compiled.solver_cache
+    if "point_plan" not in cache:
+        eligible = (
+            compiled.up_idx.size > 0
+            and compiled.program.is_arithmetic(compiled.required_parameters)
+            and _all_positive_regular(compiled)
+        )
+        cache["point_plan"] = _PointPlan(compiled) if eligible else None
+    return cache["point_plan"]  # type: ignore[return-value]
+
+
+class _HierarchyPlan(NamedTuple):
+    """A hierarchy's one-point plan for one (method, abstraction)."""
+
+    submodels: Tuple[Tuple[str, _PointPlan], ...]
+    top: _PointPlan
+    #: Every parameter a model reads, bar the bound ones.
+    parameters: Tuple[str, ...]
+    bound: Tuple[str, ...]
+    mttf: bool
+
+
+def _point_values(
+    plan: _HierarchyPlan, values: Mapping[str, float]
+) -> Optional[Dict[str, float]]:
+    """The plan's parameters as Python floats.
+
+    ``None`` (the batch path) when one is missing or not a Python
+    number, or when ``values`` also supplies a bound parameter.
+    """
+    for name in plan.bound:
+        if name in values:
+            return None
+    floats: Dict[str, float] = {}
+    for name in plan.parameters:
+        value = values.get(name)
+        if value.__class__ is not float:
+            if not isinstance(value, (int, float)):
+                return None
+            value = float(value)
+        floats[name] = value
+    return floats
 
 
 def _with_bound(values: Mapping, bound: Mapping) -> Dict:
@@ -478,36 +680,17 @@ class BatchHierarchicalSolution:
         have returned for this sample's parameter values, including
         per-state probabilities and the downtime attribution.
         """
-        system = _availability_result_at(self.system, sample)
-        reports: Dict[str, SubmodelReport] = {}
-        total_downtime = system.yearly_downtime_minutes
-        for key, batch in self.submodels.items():
-            detail = _availability_result_at(batch, sample)
-            interface = SubmodelInterface(
-                name=key,
-                failure_rate=detail.failure_rate,
-                recovery_rate=detail.recovery_rate,
-                availability=detail.availability,
-                detail=detail,
-            )
-            minutes = sum(
-                system.downtime_by_state.get(state, 0.0)
-                for state in self.attributions[key]
-            )
-            fraction = (
-                minutes / total_downtime if total_downtime > 0 else 0.0
-            )
-            reports[key] = SubmodelReport(
-                interface=interface,
-                downtime_minutes=minutes,
-                downtime_fraction=fraction,
-            )
-        bound = {
-            name: float(column[sample])
-            for name, column in self.bound_parameters.items()
-        }
-        return HierarchicalResult(
-            system=system, submodels=reports, bound_parameters=bound
+        return _hierarchical_result(
+            _availability_result_at(self.system, sample),
+            {
+                key: _availability_result_at(batch, sample)
+                for key, batch in self.submodels.items()
+            },
+            self.attributions,
+            {
+                name: float(column[sample])
+                for name, column in self.bound_parameters.items()
+            },
         )
 
     def results(self) -> Tuple[HierarchicalResult, ...]:
@@ -519,23 +702,82 @@ def _availability_result_at(
     batch: BatchAvailability, sample: int
 ) -> AvailabilityResult:
     """Scalar :class:`AvailabilityResult` view of one batched sample."""
-    pi = batch.pis[sample]
     up = batch.up_mask
+    return _availability_result(
+        batch.state_names,
+        [(i, name) for i, name in enumerate(batch.state_names) if not up[i]],
+        batch.pis[sample].tolist(),
+        float(batch.availability[sample]),
+        float(batch.unavailability[sample]),
+        float(batch.failure_rate[sample]),
+        float(batch.recovery_rate[sample]),
+    )
+
+
+def _availability_result(
+    state_names: Sequence[str],
+    down: Sequence[Tuple[int, str]],
+    pi: Sequence[float],
+    availability: float,
+    unavailability: float,
+    failure_rate: float,
+    recovery_rate: float,
+) -> AvailabilityResult:
+    """One sample's :class:`AvailabilityResult`, from Python floats.
+
+    Shared by the batch view (:func:`_availability_result_at`) and the
+    one-point path; ``down`` lists the down states as ``(index, name)``.
+    """
     return AvailabilityResult(
-        availability=float(batch.availability[sample]),
-        yearly_downtime_minutes=float(
-            batch.yearly_downtime_minutes[sample]
+        availability=availability,
+        yearly_downtime_minutes=unavailability_to_yearly_downtime_minutes(
+            unavailability
         ),
-        mtbf_hours=float(batch.mtbf_hours[sample]),
-        mttr_hours=float(batch.mttr_hours[sample]),
-        failure_rate=float(batch.failure_rate[sample]),
-        recovery_rate=float(batch.recovery_rate[sample]),
-        state_probabilities=dict(zip(batch.state_names, pi.tolist())),
+        mtbf_hours=_reciprocal(failure_rate),
+        mttr_hours=_reciprocal(recovery_rate),
+        failure_rate=failure_rate,
+        recovery_rate=recovery_rate,
+        state_probabilities=dict(zip(state_names, pi)),
         downtime_by_state={
-            name: unavailability_to_yearly_downtime_minutes(float(pi[i]))
-            for i, name in enumerate(batch.state_names)
-            if not up[i]
+            name: unavailability_to_yearly_downtime_minutes(pi[i])
+            for i, name in down
         },
+    )
+
+
+def _reciprocal(rate: float) -> float:
+    """``1 / rate`` of a rate >= 0 with NumPy's meaning: 1/0 is ``inf``."""
+    return 1.0 / rate if rate else math.inf
+
+
+def _hierarchical_result(
+    system: AvailabilityResult,
+    details: Mapping[str, AvailabilityResult],
+    attributions: Mapping[str, Tuple[str, ...]],
+    bound: Dict[str, float],
+) -> HierarchicalResult:
+    """Attribute the system's downtime to each solved submodel."""
+    reports: Dict[str, SubmodelReport] = {}
+    total_downtime = system.yearly_downtime_minutes
+    for key, detail in details.items():
+        minutes = sum(
+            system.downtime_by_state.get(state, 0.0)
+            for state in attributions[key]
+        )
+        fraction = minutes / total_downtime if total_downtime > 0 else 0.0
+        reports[key] = SubmodelReport(
+            interface=SubmodelInterface(
+                name=key,
+                failure_rate=detail.failure_rate,
+                recovery_rate=detail.recovery_rate,
+                availability=detail.availability,
+                detail=detail,
+            ),
+            downtime_minutes=minutes,
+            downtime_fraction=fraction,
+        )
+    return HierarchicalResult(
+        system=system, submodels=reports, bound_parameters=bound
     )
 
 

@@ -444,21 +444,22 @@ def scatter_rows(rates, cols, slots, signs, out) -> None:
     )
 
 
-def gth_dense(rates, arcs, out, n, mttf) -> None:
+def gth_dense(rates, arcs, out, k, n, n_arcs, mttf) -> None:
     """Run the dense elimination; see the C source for the contract.
 
-    ``rates`` and ``out`` must be C-contiguous float64 and ``arcs`` the
-    addresses of the plan's C-contiguous int64 ``src``, ``tgt`` and
-    ``up`` arrays.  Raises :class:`MemoryError` when the kernel cannot
-    allocate its scratch.
+    Every argument buffer is passed by address, so NumPy arrays
+    (``array.ctypes.data``) and ctypes buffers (``ctypes.addressof``)
+    share this one entry: ``rates`` holds ``k * n_arcs`` C-contiguous
+    float64 rates, ``out`` has room for ``k * (n + 5)`` float64 outputs,
+    and ``arcs`` are the addresses of the plan's C-contiguous int64
+    ``src``, ``tgt`` and ``up`` arrays.  Raises :class:`MemoryError` when
+    the kernel cannot allocate its scratch.
     """
     lib = load()
     if lib is None:
         raise RuntimeError("cext kernel unavailable")
-    k, n_arcs = rates.shape
     status = lib.repro_gth_dense(
-        rates.ctypes.data, *arcs, out.ctypes.data,
-        k, n, n_arcs, 1 if mttf else 0,
+        rates, *arcs, out, k, n, n_arcs, 1 if mttf else 0
     )
     if status != 0:
         raise MemoryError("dense GTH kernel could not allocate its scratch")

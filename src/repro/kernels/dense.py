@@ -24,15 +24,23 @@ operations vectorized over the samples.  Every sum runs in index order
 over the dense work matrix (``np.cumsum`` on the NumPy path), so the
 order in which a caller lists arcs cannot move a bit, and the two paths
 agree bit for bit.
+
+:class:`PointKernel` runs the C loop on one sample of Python floats
+through ctypes buffers, for one-point solves that make no NumPy call;
+the C loop solves each sample on its own, so its outputs are the bits
+:func:`dense_gth` gives that sample in any batch.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+import ctypes
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["DenseKernelPlan", "dense_kernel_plan", "dense_gth"]
+__all__ = [
+    "DenseKernelPlan", "PointKernel", "dense_kernel_plan", "dense_gth",
+]
 
 
 class DenseKernelPlan:
@@ -117,8 +125,52 @@ def dense_gth(
     if cext.load() is None:
         return _dense_gth_numpy(plan, rates, mttf)
     out = np.empty(k * (n + 5))
-    cext.gth_dense(rates, plan._arcs, out, n, mttf)
+    cext.gth_dense(
+        rates.ctypes.data, plan._arcs, out.ctypes.data,
+        k, n, rates.shape[1], mttf,
+    )
     return (out[: k * n].reshape(k, n), *out[k * n:].reshape(5, k))
+
+
+class PointKernel:
+    """:func:`dense_gth` of one sample of Python floats, on the C loop.
+
+    The rates go in and the outputs come back through ctypes buffers
+    allocated per call: the kernel runs without the GIL, and one model
+    may be solved on several threads at once.  The C module is looked up
+    per call, so :meth:`loaded` is False on a host that cannot build the
+    kernel, where callers take :func:`dense_gth` (its NumPy twin).
+    """
+
+    __slots__ = ("plan", "n_arcs", "_cext", "_rates", "_out")
+
+    def __init__(self, plan: DenseKernelPlan) -> None:
+        from repro.kernels import cext
+
+        self.plan = plan  # owns the arc arrays the kernel reads
+        self.n_arcs = int(plan.sources.size)
+        self._cext = cext
+        self._rates = ctypes.c_double * self.n_arcs
+        self._out = ctypes.c_double * (plan.n + 5)
+
+    def loaded(self) -> bool:
+        """Whether the C kernel is loaded (built on first use)."""
+        return self._cext.load() is not None
+
+    def __call__(self, rates: Sequence[float], mttf: bool) -> List[float]:
+        """The sample's ``n + 5`` outputs as Python floats.
+
+        The stationary vector, then Lambda, Mu, the status, P(up) and
+        P(down), as :func:`dense_gth` returns them for one row.
+        """
+        plan = self.plan
+        buffer = self._rates(*rates)
+        out = self._out()
+        self._cext.gth_dense(
+            ctypes.addressof(buffer), plan._arcs, ctypes.addressof(out),
+            1, plan.n, self.n_arcs, mttf,
+        )
+        return out[:]
 
 
 # NumPy path -----------------------------------------------------------------

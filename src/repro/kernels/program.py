@@ -14,18 +14,30 @@ for the same inputs, so writing one evaluation into both columns is
 exactly what evaluating twice would have produced.  The property tests
 in ``tests/kernels/test_program.py`` enforce this across the paper's
 configurations.
+
+An *arithmetic* program (every name a parameter or ``__rate_pow__``)
+also runs on one sample of Python floats
+(:meth:`RateProgram.evaluate_point`): its operators are correctly
+rounded IEEE-754 primitives on floats and arrays alike, so the rates
+carry the bits the vectorized evaluation writes, with no NumPy call.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Mapping, Optional, Tuple
+import math
+import operator
+from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.expressions import rewrite_power_nodes
+from repro.core.expressions import _POW_NAME, _rate_pow, rewrite_power_nodes
 
 __all__ = ["RateProgram"]
+
+#: Globals of a float evaluation: no builtins, the backend-independent
+#: power helper and nothing else.
+_POINT_NAMESPACE = {"__builtins__": {}, _POW_NAME: _rate_pow}
 
 
 def _compile_tuple(sources: Tuple[str, ...]):
@@ -63,6 +75,7 @@ class RateProgram:
         "n_unique",
         "_code",
         "_identity",
+        "_gather",
     )
 
     def __init__(self, sources: Tuple[str, ...]) -> None:
@@ -78,6 +91,40 @@ class RateProgram:
         self._code = _compile_tuple(self.unique_sources)
         # No duplicates at all: the gather degenerates to a straight copy.
         self._identity = self.n_unique == self.n_outputs
+        # The same gather over a tuple of floats, for evaluate_point.
+        self._gather = (
+            None if self._identity
+            else operator.itemgetter(*map(int, column_of))
+        )
+
+    def is_arithmetic(self, parameters: FrozenSet[str]) -> bool:
+        """Whether every name the program reads is in ``parameters`` or
+        is ``__rate_pow__`` (no function or constant of the whitelist),
+        so :meth:`evaluate_point` may run it."""
+        return set(self._code.co_names) <= parameters | {_POW_NAME}
+
+    def evaluate_point(
+        self, values: Dict[str, float]
+    ) -> Optional[Sequence[float]]:
+        """Every transition rate of one sample of Python floats.
+
+        Only for an arithmetic program (:meth:`is_arithmetic`); its
+        rates are then the bits :meth:`evaluate` writes for the same
+        values.  Returns ``None`` when the program raises an arithmetic
+        error or a rate is not a finite, positive float: those samples
+        belong to the vectorized path, which raises the authentic error
+        or classifies the zero pattern.
+        """
+        try:
+            results = eval(  # noqa: S307 - validated arithmetic subset
+                self._code, _POINT_NAMESPACE, values
+            )
+        except (ArithmeticError, ValueError):
+            return None
+        for rate in results:
+            if rate.__class__ is not float or not 0.0 < rate < math.inf:
+                return None
+        return results if self._gather is None else self._gather(results)
 
     def evaluate(
         self,

@@ -185,21 +185,27 @@ class JsasConfiguration:
         or any mapping providing the same names.  ``N_pair`` is supplied
         automatically from the configuration.
 
-        This is a one-sample :meth:`solve_batch` on the cached compiled
-        hierarchy, so repeated solves of one shape (Table 3, the planner,
-        sweeps) build, validate and compile the models once.  With
-        ``method="direct"``, and with the default ``"auto"`` on every
-        Table 3 shape, the result is bit-identical to the scalar
-        composer: :meth:`~repro.hierarchy.HierarchicalModel.solve` of
+        This is the one-point solve
+        (:meth:`~repro.hierarchy.CompiledHierarchy.solve_point`) on the
+        cached compiled hierarchy, equal to a one-sample
+        :meth:`solve_batch`, so repeated solves of one shape (Table 3,
+        the planner, sweeps) build, validate and compile the models
+        once, and every Table 3 shape solves without NumPy on a host
+        with the C kernel.  With ``method="direct"``, and with the
+        default ``"auto"`` on every Table 3 shape, the result is
+        bit-identical to the scalar composer:
+        :meth:`~repro.hierarchy.HierarchicalModel.solve` of
         :meth:`build_hierarchy` on :meth:`merged_values`.  ``"auto"``
         moves large AS submodels to the banded GTH solver.
         """
-        return self.solve_batch(
-            {name: float(value) for name, value in values.items()},
-            n_samples=1,
-            method=method,
-            abstraction=abstraction,
-        ).result_at(0)
+        with obs.span("jsas.solve_batch", config=self.name, method=method):
+            return self.compiled_hierarchy().solve_point(
+                self.merged_values(
+                    {name: float(value) for name, value in values.items()}
+                ),
+                method=method,
+                abstraction=abstraction,
+            )
 
     def solve_batch(
         self,

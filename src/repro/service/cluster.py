@@ -290,7 +290,9 @@ class ClusterService:
         self._ring = ConsistentHashRing(replicas=self.config.replicas)
         self._shards: Dict[str, Shard] = {}
         self._pools: Dict[str, HttpConnectionPool] = {}
-        self._closing = False
+        #: Set by close(); the health monitor waits on it, so a close
+        #: never waits out a poll interval.
+        self._closing = threading.Event()
         try:
             for index in range(self.config.n_shards):
                 shard = Shard(f"shard-{index}")
@@ -372,7 +374,7 @@ class ClusterService:
     def _recover(self, shard: Shard) -> None:
         """Evict-and-respawn one dead shard, exactly once per death."""
         with shard.respawn_lock:
-            if self._closing or shard.alive:
+            if self._closing.is_set() or shard.alive:
                 return
             self._evict(shard)
             shard.respawns += 1
@@ -388,10 +390,9 @@ class ClusterService:
 
     def _monitor_loop(self) -> None:
         """Evict and respawn dead shards until the router closes."""
-        while not self._closing:
-            time.sleep(self.config.health_interval_seconds)
+        while not self._closing.wait(self.config.health_interval_seconds):
             for shard in list(self._shards.values()):
-                if self._closing:
+                if self._closing.is_set():
                     return
                 if not shard.alive:
                     self._recover(shard)
@@ -745,7 +746,7 @@ class ClusterService:
 
     def close(self) -> None:
         """Stop the monitor, terminate every shard, restore globals."""
-        self._closing = True
+        self._closing.set()
         monitor = getattr(self, "_monitor", None)
         if monitor is not None and monitor.is_alive():
             monitor.join(

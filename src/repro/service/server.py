@@ -158,8 +158,18 @@ class _SolveGroup:
     def solve_many(
         self, values_list: Sequence[Mapping[str, float]]
     ) -> Sequence[HierarchicalResult]:
-        """Solve every request in one stacked ``solve_batch`` call."""
+        """Solve every request in one stacked ``solve_batch`` call; a
+        lone request is a one-point solve (``JsasConfiguration.solve``),
+        which gives the same result without NumPy."""
         k = len(values_list)
+        if k == 1:
+            return [
+                self.config.solve(
+                    values_list[0],
+                    method=self.method,
+                    abstraction=self.abstraction,
+                )
+            ]
         columns = {
             name: np.array([values[name] for values in values_list])
             for name in self.names

@@ -140,6 +140,20 @@ class TestAggregation:
             assert shard["generation"] >= 1
 
 
+class TestClose:
+    def test_close_does_not_wait_out_the_health_interval(self):
+        """The health monitor waits on an event that ``close()`` sets,
+        so a router closed right after ``start()`` does not sleep out
+        its 2 s poll interval first."""
+        server = ClusterServer(
+            ClusterConfig(port=0, n_shards=1, health_interval_seconds=2.0)
+        )
+        server.start()
+        started = time.perf_counter()
+        server.close()
+        assert time.perf_counter() - started < 0.5
+
+
 class TestHttpEdges:
     def test_chaos_disabled_by_default(self, client):
         with pytest.raises(ServiceClientError) as excinfo:

@@ -1,6 +1,10 @@
 """Unit tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -195,3 +199,48 @@ class TestTracing:
         out = capsys.readouterr().out
         assert "span tree" in out
         assert "hierarchy.solve_batch" in out
+
+
+class TestImportGraph:
+    def test_solve_loads_no_analysis_stack(self):
+        """A fresh ``import repro.cli``, and a ``solve --json`` after it,
+        load none of ``repro.analysis``, ``estimation``, ``sensitivity``
+        or ``simulation``: only the table and sweep commands use them,
+        and they import them when they run."""
+        script = textwrap.dedent(
+            """
+            import contextlib
+            import io
+            import sys
+
+            STACK = ("analysis", "estimation", "sensitivity", "simulation")
+
+            def loaded():
+                return sorted(
+                    name for name in sys.modules
+                    if name.split(".")[0] == "repro"
+                    and name.split(".")[1:2] in [[p] for p in STACK]
+                )
+
+            import repro.cli
+
+            print(loaded())
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert repro.cli.main(["solve", "--json"]) == 0
+            print(loaded())
+            """
+        )
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(
+            os.environ,
+            PYTHONPATH=src if not path else os.pathsep.join([src, path]),
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip().splitlines() == ["[]", "[]"]
