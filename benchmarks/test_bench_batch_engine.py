@@ -1,8 +1,9 @@
-"""Benchmark the compiled batch-solve engine against the scalar path.
+"""Benchmark the compiled batch-solve engine against per-snapshot solves.
 
 Times the Fig. 7 workload (Config 1 hierarchical uncertainty analysis)
-both ways: the scalar composer once per snapshot on a small subset, and
-the compiled vectorized path on the full 1,000 samples.
+both ways: a one-point solve of a freshly built hierarchy once per
+snapshot on a small subset, and the compiled vectorized path on the
+full 1,000 samples.
 Writes ``BENCH_solve.json`` at the repo root with per-sample timings and
 the speedup, and asserts the engine delivers at least a 10x win.
 """
@@ -38,7 +39,8 @@ def _median_per_sample_ms(run, n_samples: int) -> float:
 def _scalar_analysis(analysis: UncertaintyAnalysis) -> UncertaintyAnalysis:
     """``analysis`` with a plain-callable metric (no ``evaluate_batch``):
     each snapshot rebuilds Config 1's hierarchy and solves it with
-    ``HierarchicalModel.solve``, the scalar composer."""
+    ``HierarchicalModel.solve``, which compiles it and makes the
+    per-snapshot one-point solve."""
 
     def yearly_downtime(values):
         result = CONFIG_1.build_hierarchy().solve(

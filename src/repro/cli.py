@@ -37,7 +37,7 @@ import numpy as np
 
 from repro import artifacts
 from repro._version import __version__
-from repro.exceptions import ArtifactError
+from repro.exceptions import ReproError
 from repro.models.jsas import (
     CONFIG_1,
     PAPER_PARAMETERS,
@@ -1344,7 +1344,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         previous = obs.set_recorder(recorder)
     try:
         return args.func(args)
-    except ArtifactError as exc:
+    except ReproError as exc:
         # Exit 2, not 1: the validate commands exit 1 for "disagree".
         Reporter(stream=sys.stderr).line(f"error: {exc}")
         return 2

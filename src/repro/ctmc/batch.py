@@ -60,7 +60,7 @@ from repro.ctmc.sparse import (
 )
 from repro.kernels.banded import banded_kernel_plan, banded_steady_state
 from repro.kernels.dense import dense_gth, dense_kernel_plan
-from repro.ctmc.rewards import _equivalent_rates
+from repro.ctmc.rewards import _check_abstraction, _equivalent_rates
 from repro.ctmc.steady_state import _solve, steady_state_vector
 from repro.ctmc.structure import _reachable_mask, classify_states
 from repro.exceptions import SolverError, StructureError
@@ -767,10 +767,7 @@ def batch_availability(
     path branch for branch), yearly downtime and MTBF/MTTR — all as
     arrays over the batch.
     """
-    if abstraction not in ("mttf", "flow"):
-        raise SolverError(
-            f"unknown abstraction {abstraction!r}; expected 'mttf' or 'flow'"
-        )
+    _check_abstraction(abstraction)
     with obs.span(
         "ctmc.batch_availability",
         model=_model_name(model),

@@ -57,6 +57,9 @@ from repro.exceptions import SolverError, StructureError
 from repro.kernels.dense import DenseKernelPlan, dense_gth
 from repro.units import unavailability_to_yearly_downtime_minutes
 
+#: The equivalent-rate abstractions every solver accepts.
+ABSTRACTIONS = ("mttf", "flow")
+
 
 @dataclass(frozen=True)
 class AvailabilityResult:
@@ -146,7 +149,7 @@ def equivalent_failure_recovery_rates(
 
 
 def _check_abstraction(abstraction: str) -> None:
-    if abstraction not in ("mttf", "flow"):
+    if abstraction not in ABSTRACTIONS:
         raise SolverError(
             f"unknown abstraction {abstraction!r}; expected 'mttf' or 'flow'"
         )

@@ -8,8 +8,8 @@ submodel (Fig. 4) and ``La_hadb/Mu_hadb`` from the HADB node-pair
 submodel (Fig. 3).
 """
 
-from repro.hierarchy.interface import SubmodelInterface, abstract_submodel
-from repro.hierarchy.binding import Binding, RateBinding
+from repro.hierarchy.interface import SubmodelInterface
+from repro.hierarchy.binding import RateBinding
 from repro.hierarchy.composer import (
     BatchHierarchicalSolution,
     CompiledHierarchy,
@@ -20,8 +20,6 @@ from repro.hierarchy.composer import (
 
 __all__ = [
     "SubmodelInterface",
-    "abstract_submodel",
-    "Binding",
     "RateBinding",
     "BatchHierarchicalSolution",
     "CompiledHierarchy",

@@ -9,10 +9,8 @@ Fig. 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping
 
 from repro.exceptions import ModelError
-from repro.hierarchy.interface import SubmodelInterface
 
 #: Which submodel output a binding draws from.
 OUTPUTS = ("failure_rate", "recovery_rate", "availability", "unavailability")
@@ -46,36 +44,3 @@ class RateBinding:
                 f"binding for {self.parameter!r} has non-positive scale "
                 f"{self.scale}"
             )
-
-    def resolve(self, interface: SubmodelInterface) -> float:
-        """Extract and scale the bound value from a solved interface."""
-        if self.output == "failure_rate":
-            value = interface.failure_rate
-        elif self.output == "recovery_rate":
-            value = interface.recovery_rate
-        elif self.output == "availability":
-            value = interface.availability
-        else:
-            value = 1.0 - interface.availability
-        return value * self.scale
-
-
-#: A general binding: any callable from solved interfaces to a value.
-Binding = Callable[[Mapping[str, SubmodelInterface]], float]
-
-
-def resolve_bindings(
-    bindings: Mapping[str, RateBinding],
-    interfaces: Mapping[str, SubmodelInterface],
-) -> Dict[str, float]:
-    """Evaluate every binding against the solved submodel interfaces."""
-    resolved: Dict[str, float] = {}
-    for parameter, binding in bindings.items():
-        if binding.submodel not in interfaces:
-            raise ModelError(
-                f"binding for parameter {parameter!r} references unknown "
-                f"submodel {binding.submodel!r}; known: "
-                f"{sorted(interfaces)}"
-            )
-        resolved[parameter] = binding.resolve(interfaces[binding.submodel])
-    return resolved

@@ -27,17 +27,16 @@ import numpy as np
 from repro import obs
 from repro.core.compiled import ColumnLike, CompiledModel, compile_model
 from repro.core.model import MarkovModel
-from repro.core.parameters import ParameterSet
 from repro.ctmc.batch import (
     BatchAvailability,
     _all_positive_regular,
     _resolve_engine,
     batch_availability,
 )
-from repro.ctmc.rewards import AvailabilityResult, steady_state_availability
+from repro.ctmc.rewards import ABSTRACTIONS, AvailabilityResult
 from repro.exceptions import ModelError
-from repro.hierarchy.binding import RateBinding, resolve_bindings
-from repro.hierarchy.interface import SubmodelInterface, abstract_submodel
+from repro.hierarchy.binding import RateBinding
+from repro.hierarchy.interface import SubmodelInterface
 from repro.kernels.dense import PointKernel, dense_kernel_plan
 from repro.units import unavailability_to_yearly_downtime_minutes
 
@@ -202,43 +201,26 @@ class HierarchicalModel:
     ) -> HierarchicalResult:
         """Solve submodels, bind, solve the top model, attribute downtime.
 
-        ``values`` must cover every free parameter of every submodel and
-        every top-model parameter that is not produced by a binding.
-        ``values`` may be a plain dict or a
-        :class:`~repro.core.parameters.ParameterSet`.
+        The compiled one-point solve,
+        :meth:`CompiledHierarchy.solve_point`.  ``values`` must cover
+        every free parameter of every submodel and every top-model
+        parameter that is not produced by a binding; it may be a plain
+        dict or a :class:`~repro.core.parameters.ParameterSet`.
 
         Args:
-            method: Steady-state method for every constituent solve.  The
-                default ``"auto"`` runs the dense GTH kernel (which also
-                gives each submodel's Lambda and Mu) on small submodels
-                and switches to the structured banded solver when a large
-                submodel (a generalized N-instance AS chain, say) exposes
-                the banded-plus-spike topology.
+            method: Steady-state method for every constituent solve, one
+                of :data:`repro.ctmc.batch.BATCH_METHODS`.  The default
+                ``"auto"`` runs the dense GTH kernel (which also gives
+                each submodel's Lambda and Mu) on small submodels and
+                switches to the structured banded solver when a large
+                submodel (a generalized N-instance AS chain, say)
+                exposes the banded-plus-spike topology.
             abstraction: Equivalent-rate semantics for the submodels,
                 ``"mttf"`` (RAScad, default) or ``"flow"`` (exact
                 steady-state flow).  See
                 :func:`repro.ctmc.rewards.equivalent_failure_recovery_rates`.
         """
-        with obs.span(
-            "hierarchy.solve", model=self.top.name, method=method
-        ):
-            interfaces, bound, top_values = self._abstract_submodels(
-                values, method, abstraction
-            )
-            with obs.span("hierarchy.top", model=self.top.name):
-                system = steady_state_availability(
-                    self.top,
-                    top_values,
-                    method=method,
-                    abstraction=abstraction,
-                )
-
-        return _hierarchical_result(
-            system,
-            {key: interface.detail for key, interface in interfaces.items()},
-            self._attributions,
-            bound,
-        )
+        return self.compile().solve_point(values, method, abstraction)
 
     def compile(self) -> "CompiledHierarchy":
         """Compile-once form for repeated solves (see :meth:`solve_batch`).
@@ -285,8 +267,8 @@ class HierarchicalModel:
 
         The hierarchical analogue of the steady-state solve (and the
         capability the authors' companion DSN-2004 paper adds to
-        RAScad): solve each submodel for its (Lambda, Mu) interface,
-        bind, then evaluate the *top* model's interval availability
+        RAScad): :meth:`solve` gives the bound (Lambda, Mu) parameters,
+        then the *top* model's interval availability is evaluated
         transiently from its initial state.
 
         For t -> infinity this converges to the steady-state
@@ -295,27 +277,10 @@ class HierarchicalModel:
         """
         from repro.ctmc.transient import interval_availability
 
-        _, _, top_values = self._abstract_submodels(
-            values, method, abstraction
+        result = self.solve(values, method, abstraction)
+        return interval_availability(
+            self.top, t, _with_bound(values, result.bound_parameters)
         )
-        return interval_availability(self.top, t, top_values)
-
-    def _abstract_submodels(
-        self, values: Mapping[str, float], method: str, abstraction: str
-    ) -> Tuple[Dict[str, SubmodelInterface], Dict[str, float], Dict]:
-        """Submodel interfaces, bound parameters and top-model values."""
-        interfaces: Dict[str, SubmodelInterface] = {}
-        for key, model in self._submodels.items():
-            with obs.span("hierarchy.submodel", submodel=key):
-                interfaces[key] = abstract_submodel(
-                    model,
-                    values,
-                    method=method,
-                    name=key,
-                    abstraction=abstraction,
-                )
-        bound = resolve_bindings(self._bindings, interfaces)
-        return interfaces, bound, _with_bound(values, bound)
 
 
 class CompiledHierarchy:
@@ -326,11 +291,11 @@ class CompiledHierarchy:
     matrix of parameter samples through submodel abstraction, binding
     resolution and the top-model solve using stacked linear algebra.
 
-    For ``method="direct"`` on arithmetic-only rate expressions the
-    per-sample results are bit-identical to :meth:`HierarchicalModel.solve`
-    (enforced by ``tests/hierarchy/test_compiled.py``).
-    :meth:`solve_point` answers one sample without NumPy and equals
-    the one-sample :meth:`solve_batch` (``tests/hierarchy/test_point.py``).
+    :meth:`solve_point`, which :meth:`HierarchicalModel.solve` returns,
+    answers one sample without NumPy where it can and equals the
+    one-sample :meth:`solve_batch` (``tests/hierarchy/test_point.py``);
+    ``tests/hierarchy/test_exact_oracle.py`` checks both against an
+    exact rational solve of every stage.
     """
 
     def __init__(self, hierarchy: HierarchicalModel) -> None:
@@ -469,9 +434,7 @@ class CompiledHierarchy:
         self, method: str, abstraction: str
     ) -> Optional["_HierarchyPlan"]:
         """The hierarchy's one-point plan, or ``None`` for the batch path."""
-        if method not in ("auto", "gth"):
-            return None
-        if abstraction not in ("mttf", "flow"):
+        if method not in ("auto", "gth") or abstraction not in ABSTRACTIONS:
             return None
         mttf = abstraction == "mttf"
         plans: List[_PointPlan] = []

@@ -73,8 +73,8 @@ class HierarchicalConfigMetric:
     :meth:`evaluate_batch`, which the drivers in
     :mod:`repro.uncertainty.analysis` and
     :mod:`repro.sensitivity.parametric` detect to solve whole sample
-    batches in one ``config.solve_batch`` call.  Both paths produce
-    bit-identical values for ``method="direct"`` solves.
+    batches in one ``config.solve_batch`` call.  A batch sample equals
+    the per-snapshot one-point solve of its values bit for bit.
     """
 
     def __init__(

@@ -191,12 +191,11 @@ class JsasConfiguration:
         :meth:`solve_batch`, so repeated solves of one shape (Table 3,
         the planner, sweeps) build, validate and compile the models
         once, and every Table 3 shape solves without NumPy on a host
-        with the C kernel.  With ``method="direct"``, and with the
-        default ``"auto"`` on every Table 3 shape, the result is
-        bit-identical to the scalar composer:
+        with the C kernel.  It is the solve
         :meth:`~repro.hierarchy.HierarchicalModel.solve` of
-        :meth:`build_hierarchy` on :meth:`merged_values`.  ``"auto"``
-        moves large AS submodels to the banded GTH solver.
+        :meth:`build_hierarchy` makes on :meth:`merged_values`, without
+        compiling a fresh hierarchy.  ``"auto"`` moves large AS
+        submodels to the banded GTH solver.
         """
         with obs.span("jsas.solve_batch", config=self.name, method=method):
             return self.compiled_hierarchy().solve_point(

@@ -34,8 +34,8 @@ Start one with ``repro-avail serve`` or embed it::
         print(client.solve()["availability"])
 
 Service responses are bit-identical to direct
-:meth:`~repro.hierarchy.HierarchicalModel.solve` calls; see
-``docs/service_guide.md``.
+:meth:`~repro.hierarchy.HierarchicalModel.solve` calls (the compiled
+one-point solve); see ``docs/service_guide.md``.
 """
 
 from repro.service.cache import SolveCache

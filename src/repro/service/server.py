@@ -27,8 +27,8 @@ Request lifecycle for ``/v1/solve``:
    ``Retry-After`` header instead of queueing unboundedly.
 
 Results are bit-identical to direct :meth:`HierarchicalModel.solve`
-calls — enforced by ``tests/service/test_server.py`` against the fig7
-Config 1 oracle.
+calls, the compiled one-point solve — enforced by
+``tests/service/test_server.py`` against the fig7 Config 1 oracle.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ import numpy as np
 
 from repro import chaos, obs
 from repro.chaos.injector import INJECTION_POINTS, ChaosInjector
+from repro.ctmc.batch import BATCH_METHODS
+from repro.ctmc.rewards import ABSTRACTIONS
 from repro.exceptions import ReproError
 from repro.hierarchy import HierarchicalResult
 from repro.models.jsas import PAPER_PARAMETERS, JsasConfiguration
@@ -337,6 +339,15 @@ class AvailabilityService:
         abstraction = document.get("abstraction", "mttf")
         if not isinstance(method, str) or not isinstance(abstraction, str):
             raise BadRequest("'method' and 'abstraction' must be strings")
+        if method not in BATCH_METHODS:
+            raise BadRequest(
+                f"unknown method {method!r}; expected one of {BATCH_METHODS}"
+            )
+        if abstraction not in ABSTRACTIONS:
+            raise BadRequest(
+                f"unknown abstraction {abstraction!r}; expected one of "
+                f"{ABSTRACTIONS}"
+            )
         return method, abstraction
 
     def _structure(

@@ -135,8 +135,10 @@ def _assert_matches(pi, lam, mu, exact):
     exact_pi, exact_lam, exact_mu = exact
     expected = _as_floats(exact_pi)
     np.testing.assert_allclose(pi, expected, rtol=PI_RTOL, atol=0.0)
-    assert lam == pytest.approx(float(exact_lam), rel=LAMBDA_RTOL)
-    assert mu == pytest.approx(float(exact_mu), rel=MU_RTOL)
+    # abs=0: pytest's default absolute tolerance (1e-12) would swamp
+    # Lambda (4.6e-10 at AS 4/4, 6.2e-15 at 10/10).
+    assert lam == pytest.approx(float(exact_lam), rel=LAMBDA_RTOL, abs=0.0)
+    assert mu == pytest.approx(float(exact_mu), rel=MU_RTOL, abs=0.0)
 
 
 @pytest.mark.parametrize(

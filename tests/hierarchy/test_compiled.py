@@ -1,4 +1,4 @@
-"""Compiled hierarchical solves vs. the scalar composer: exact equality."""
+"""Compiled hierarchical batch solves: results, caching and guards."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from repro.exceptions import ModelError
 from repro.hierarchy import BatchHierarchicalSolution, CompiledHierarchy
 from repro.models.jsas.parameters import PAPER_PARAMETERS
 from repro.models.jsas.system import CONFIG_1, CONFIG_2, JsasConfiguration
+from tests.hierarchy.test_exact_oracle import assert_matches_oracle
 
 
 def sample_columns(hierarchy, n, seed, n_pairs):
@@ -20,7 +21,7 @@ def sample_columns(hierarchy, n, seed, n_pairs):
     return columns
 
 
-def scalar_values(columns, s):
+def sample_values(columns, s):
     return {
         k: (float(v[s]) if isinstance(v, np.ndarray) else v)
         for k, v in columns.items()
@@ -28,7 +29,10 @@ def scalar_values(columns, s):
 
 
 @pytest.mark.parametrize("config", [CONFIG_1, CONFIG_2], ids=["2as", "4as"])
-def test_batch_matches_scalar_solve_exactly(config):
+def test_batch_matches_exact_oracle(config):
+    """Every sample of a batch, stage by stage, against the exact
+    rational solve (``test_point.py`` checks that each also equals its
+    one-point solve)."""
     hierarchy = config.build_hierarchy()
     n = 15
     columns = sample_columns(hierarchy, n, seed=2004, n_pairs=config.n_pairs)
@@ -36,13 +40,9 @@ def test_batch_matches_scalar_solve_exactly(config):
     assert isinstance(solution, BatchHierarchicalSolution)
     assert solution.n_samples == n
     for s in range(n):
-        expected = hierarchy.solve(scalar_values(columns, s))
-        got = solution.result_at(s)
-        assert got.system == expected.system
-        assert got.bound_parameters == expected.bound_parameters
-        assert set(got.submodels) == set(expected.submodels)
-        for key in expected.submodels:
-            assert got.submodels[key] == expected.submodels[key]
+        assert_matches_oracle(
+            hierarchy, sample_values(columns, s), solution.result_at(s)
+        )
 
 
 def test_metric_arrays_match_results():

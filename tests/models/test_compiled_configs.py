@@ -1,8 +1,7 @@
-"""Compiled JSAS configuration solves vs. the scalar composer."""
+"""JSAS configuration solves: the exact oracle, and the shape cache."""
 
 import pytest
 
-from repro.hierarchy.interface import abstract_submodel
 from repro.models.jsas.configs import (
     TABLE3_CONFIGURATIONS,
     compare_configurations,
@@ -10,73 +9,63 @@ from repro.models.jsas.configs import (
 )
 from repro.models.jsas.parameters import PAPER_PARAMETERS
 from repro.models.jsas.system import JsasConfiguration
+from tests.hierarchy.test_exact_oracle import assert_matches_oracle
 
 
-def _scalar_solve(config, values, **kwargs):
-    """The scalar composer on a fresh hierarchy: the reference engine."""
-    return config.build_hierarchy().solve(
-        config.merged_values(values), **kwargs
-    )
+def _fresh_solve(config, values):
+    """The one-point solve of a freshly built hierarchy."""
+    return config.build_hierarchy().solve(config.merged_values(values))
 
 
 @pytest.mark.parametrize("shape", TABLE3_CONFIGURATIONS, ids=str)
 def test_solve_compiled_matches_solve(shape):
-    """Every Table 3 shape — including the HADB-less (1, 0) baseline."""
-    n_instances, n_pairs = shape
-    config = JsasConfiguration(n_instances=n_instances, n_pairs=n_pairs)
+    """Every Table 3 shape — including the HADB-less (1, 0) baseline —
+    solved on the cached compiled hierarchy, against the exact oracle."""
+    config = JsasConfiguration(*shape)
     values = PAPER_PARAMETERS.to_dict()
-    scalar = _scalar_solve(config, values)
-    compiled = config.solve(values)
-    assert compiled.system == scalar.system
-    assert compiled.bound_parameters == scalar.bound_parameters
-    assert compiled.submodels == scalar.submodels
+    assert_matches_oracle(
+        config.build_hierarchy(),
+        config.merged_values(values),
+        config.solve(values),
+    )
+
+
+#: Relative bound with an AS submodel of 32+ states, where ``auto``
+#: takes the banded solver, set from measurement at 11/2 and 12/2: the
+#: worst error is 5.5e-16 on the C path and 1.2e-15 on the LAPACK band
+#: path (a state probability of the 12/2 AS submodel).
+BANDED_RTOL = 4e-15
 
 
 @pytest.mark.parametrize("n_instances", [11, 12])
 def test_large_parallel_repair_shape_solves(n_instances):
     """Direct LU loses these AS submodels' down mass (``Mu_appl`` comes
-    out infinite and the scalar ``direct`` solve raises); the banded GTH
-    solve that scalar and batch ``auto`` pick at 32+ states answers like
-    GTH."""
+    out infinite and a ``direct`` solve raises); the banded GTH solve
+    that ``auto`` picks at 32+ states matches the exact oracle."""
     config = JsasConfiguration(n_instances, 2, repair_policy="parallel")
-    result = config.solve(PAPER_PARAMETERS)
-    scalar = _scalar_solve(config, PAPER_PARAMETERS)
-    assert scalar.availability == result.availability
-    reference = _scalar_solve(config, PAPER_PARAMETERS, method="gth")
-    assert result.availability == pytest.approx(
-        reference.availability, rel=1e-15
-    )
-    expected = abstract_submodel(
-        config.build_appserver_submodel(),
+    assert_matches_oracle(
+        config.build_hierarchy(),
         config.merged_values(PAPER_PARAMETERS),
-        method="gth",
-    )
-    interface = result.submodels["appserver"].interface
-    # C GTH lands within 4.3e-16 of it, LAPACK band-LU within 1.9e-15.
-    assert interface.failure_rate == pytest.approx(
-        expected.failure_rate, rel=1e-14
-    )
-    assert interface.recovery_rate == pytest.approx(
-        expected.recovery_rate, rel=1e-14
+        config.solve(PAPER_PARAMETERS),
+        rtol=BANDED_RTOL,
     )
 
 
 def test_compare_configurations_engines_agree():
-    rows_compiled = compare_configurations()
+    """Table 3 rows equal fresh one-point solves of each shape."""
+    rows = compare_configurations()
     values = PAPER_PARAMETERS.to_dict()
-    rows_scalar = [
-        _scalar_solve(JsasConfiguration(*shape), values)
+    fresh = [
+        _fresh_solve(JsasConfiguration(*shape), values)
         for shape in TABLE3_CONFIGURATIONS
     ]
-    assert len(rows_compiled) == len(rows_scalar)
-    for compiled, scalar in zip(rows_compiled, rows_scalar):
-        assert compiled.availability == scalar.availability
-        assert (
-            compiled.yearly_downtime_minutes == scalar.yearly_downtime_minutes
-        )
-        assert compiled.mtbf_hours == scalar.mtbf_hours
-    # The paper's conclusion survives either engine: 4 AS + 4 pairs wins.
-    assert optimal_configuration(rows_compiled).n_instances == 4
+    assert len(rows) == len(fresh)
+    for row, solved in zip(rows, fresh):
+        assert row.availability == solved.availability
+        assert row.yearly_downtime_minutes == solved.yearly_downtime_minutes
+        assert row.mtbf_hours == solved.mtbf_hours
+    # The paper's conclusion: 4 AS + 4 pairs wins.
+    assert optimal_configuration(rows).n_instances == 4
 
 
 def test_hierarchy_cache_shared_between_equal_shapes():
@@ -101,4 +90,4 @@ def test_solve_batch_on_configuration():
     for s in range(n):
         values = dict(base)
         values[first] = float(columns[first][s])
-        assert solution.result_at(s) == _scalar_solve(config, values)
+        assert solution.result_at(s) == _fresh_solve(config, values)

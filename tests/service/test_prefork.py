@@ -83,6 +83,19 @@ class TestParity:
         assert status_b == status_a
         assert payload_b["error"] == payload_a["error"]
 
+    @pytest.mark.parametrize(
+        "field,value", [("method", "cholesky"), ("abstraction", "bogus")]
+    )
+    def test_unknown_method_or_abstraction_is_a_bad_request(
+        self, inprocess_service, prefork_service, field, value
+    ):
+        """A client mistake: 400 on every endpoint, not a solver 500."""
+        for service in (inprocess_service, prefork_service):
+            for endpoint in ("/v1/solve", "/v1/sweep", "/v1/uncertainty"):
+                status, payload, _ = service.handle(endpoint, {field: value})
+                assert status == 400, (endpoint, payload)
+                assert f"unknown {field} {value!r}" in payload["error"]
+
 
 class TestHealth:
     def test_healthz_reports_pool(self, prefork_service):

@@ -64,6 +64,28 @@ class TestParserErrors:
         err = capsys.readouterr().err
         assert "usage:" in err and "error:" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "solve --instances 0",
+            "sweep --points 0",
+            "uncertainty --samples 0",
+            "risk --years 0",
+            "plan --nines 0",
+            "campaign --injections 0",
+            "longevity --days -1",
+            "mission --hours -5",
+        ],
+    )
+    def test_invalid_value_is_one_error_line(self, capsys, argv):
+        """A value the library refuses (a ``ReproError``) exits 2 with
+        one ``error:`` line on stderr, not a traceback."""
+        assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
 
 class TestCommands:
     def test_solve(self, capsys):

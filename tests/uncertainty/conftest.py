@@ -4,13 +4,13 @@ from repro.uncertainty import UncertaintyAnalysis
 
 
 def scalar_reference(analysis: UncertaintyAnalysis) -> UncertaintyAnalysis:
-    """A JSAS uncertainty analysis solved through the scalar composer.
+    """A JSAS uncertainty analysis solved one snapshot at a time.
 
     The copy's metric is a plain callable (no ``evaluate_batch``), so
     ``run`` calls it once per snapshot, and each call rebuilds the
     configuration's hierarchy and solves it with
-    :meth:`~repro.hierarchy.HierarchicalModel.solve`: the reference
-    engine the batched path is compared against.
+    :meth:`~repro.hierarchy.HierarchicalModel.solve`, the per-snapshot
+    one-point solve the batched path is compared against.
     """
     metric = analysis.metric
     config = metric.config
