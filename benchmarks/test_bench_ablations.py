@@ -5,7 +5,8 @@
 * Scheduled maintenance on/off.
 * Sequential vs parallel AS restart policy (the generalized model's
   undocumented degree of freedom).
-* Steady-state solver choice (direct vs GTH) on the same chain,
+* Steady-state solver choice (GTH vs sparse LU, against an exact
+  rational solve) on the same chain,
   and the banded solve's two paths (C GTH, LAPACK band-LU) against the
   reference GTH on the N-instance AS chain, plus the scalar
   ``steady_state_vector(method="banded")`` call that runs the same
@@ -121,8 +122,17 @@ def run_solver_comparison():
     model = build_hadb_pair_model()
     return {
         method: solve_steady_state(model, BASE, method=method)["2_Down"]
-        for method in ("direct", "gth")
+        for method in ("gth", "sparse")
     }
+
+
+def exact_down_probability() -> float:
+    """P(2_Down) of the HADB pair chain from an exact ``Fraction`` solve."""
+    from tests.ctmc.test_exact_oracle import exact_interface
+
+    generator = build_generator(build_hadb_pair_model(), BASE)
+    pi = exact_interface(generator)[0]
+    return float(pi[generator.index_of("2_Down")])
 
 
 BANDED_INSTANCES = (11, 64, 256)
@@ -220,10 +230,14 @@ def run_banded_paths(monkeypatch):
 def test_bench_solver_agreement(benchmark, save_artifact, monkeypatch):
     probabilities = benchmark(run_solver_comparison)
     banded = run_banded_paths(monkeypatch)
+    reference = exact_down_probability()
 
     table = render_table(
-        ["solver", "P(2_Down)"],
-        [(m, f"{p:.6e}") for m, p in probabilities.items()],
+        ["solver", "P(2_Down)", "rel err vs exact"],
+        [
+            (m, f"{p:.6e}", f"{abs(p - reference) / reference:.1e}")
+            for m, p in probabilities.items()
+        ],
         title="Steady-state solver agreement on the HADB pair chain",
     )
     banded_table = render_table(
@@ -241,5 +255,5 @@ def test_bench_solver_agreement(benchmark, save_artifact, monkeypatch):
     )
     save_artifact("ablations_solvers", table + "\n\n" + banded_table)
 
-    reference = probabilities["direct"]
-    assert probabilities["gth"] == pytest.approx(reference, rel=1e-9)
+    for probability in probabilities.values():
+        assert probability == pytest.approx(reference, rel=1e-9)

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro import artifacts
 from repro._version import __version__
-from repro.exceptions import ReproError
+from repro.exceptions import EstimationError, ReproError
 from repro.models.jsas import (
     CONFIG_1,
     PAPER_PARAMETERS,
@@ -191,8 +191,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if getattr(args, "fitted", None):
         return _cmd_sweep_fitted(args, reporter)
     config = _configuration(args)
-    # Batch-capable metric: the whole grid solves as one stacked
-    # (or banded/sparse, for large --n-instances) linear-algebra call.
+    # Batch-capable metric: the whole grid solves as one batched kernel
+    # call per model (banded or sparse for large --n-instances).
     metric = HierarchicalConfigMetric(config, metric="availability")
     start = args.start if args.start is not None else 0.5
     stop = args.stop if args.stop is not None else 3.0
@@ -292,8 +292,16 @@ def _cmd_sweep_fitted(
 
 
 def _cmd_uncertainty(args: argparse.Namespace) -> int:
-    from repro.models.jsas.configs import build_uncertainty_analysis
+    from repro.models.jsas.configs import (
+        MIN_UNCERTAINTY_SAMPLES,
+        build_uncertainty_analysis,
+    )
 
+    if args.samples < MIN_UNCERTAINTY_SAMPLES:
+        raise EstimationError(
+            f"--samples must be >= {MIN_UNCERTAINTY_SAMPLES}, "
+            f"got {args.samples}"
+        )
     reporter = _reporter(args)
     if getattr(args, "fitted", None):
         from repro.selfmodel import ClusterSelfModel

@@ -6,8 +6,8 @@ The public surface of this package:
   generator matrix Q from a :class:`~repro.core.model.MarkovModel` and a
   parameter mapping.
 * :func:`~repro.ctmc.steady_state.solve_steady_state` — stationary
-  distribution, with selectable algorithm (direct LU, GTH elimination,
-  banded GTH).
+  distribution, with selectable algorithm (GTH elimination, banded GTH,
+  sparse LU; ``"auto"`` by default).
 * :func:`~repro.ctmc.transient.transient_distribution` — state
   probabilities at time t (uniformization or matrix exponential).
 * :func:`~repro.ctmc.absorption.mean_time_to_absorption` and friends.

@@ -6,7 +6,6 @@ model and parameter columns it:
 
 * evaluates the ``(n_samples, n_transitions)`` rate matrix in one
   vectorized program,
-* assembles all generators as one ``(n_samples, n, n)`` stack,
 * classifies the state space **once per transition zero-pattern** (not
   once per sample) with results cached on the compiled model — a sampled
   rate hitting exactly 0 changes the pattern and therefore gets its own
@@ -14,29 +13,28 @@ model and parameter columns it:
 * solves all steady-state systems of a dense ``"gth"`` / ``"auto"``
   batch in one call of the dense GTH kernel
   (:mod:`repro.kernels.dense`), which also returns the (Lambda, Mu)
-  interface, or with one stacked LU (``numpy.linalg.solve`` on the
-  whole batch) under ``"direct"``,
+  interface,
 * mirrors the scalar reward pipeline (availability, equivalent
   (Lambda, Mu) rates, yearly downtime, MTBF/MTTR) element-wise.
 
 The arithmetic is *bit-identical* to the scalar path on arithmetic-only
 rate expressions: scalar ``"gth"`` / ``"auto"`` run the same kernel on
-one generator's arcs, and under ``"direct"`` the stacked LAPACK solves
-and reductions perform the same operations per sample as the scalar
-solver.  The property tests in ``tests/ctmc/test_batch.py`` enforce
-exact equality on random chains and on the paper's models.
+one generator's arcs.  The property tests in ``tests/ctmc/test_batch.py``
+enforce exact equality on random chains and on the paper's models.
 
-**Large state spaces.**  The dense stack is O(n^2) memory per sample, so
-models at or above :data:`~repro.ctmc.generator.SPARSE_THRESHOLD` states
-are routed through the structure-exploiting engines instead: the banded
-kernel (:mod:`repro.kernels.banded`, the same solve scalar
+**Large state spaces.**  The dense kernel is O(n^2) memory per sample,
+so models at or above :data:`~repro.ctmc.generator.SPARSE_THRESHOLD`
+states are routed through the structure-exploiting engines instead: the
+banded kernel (:mod:`repro.kernels.banded`, the same solve scalar
 ``steady_state_vector`` runs) when the generator is banded-plus-spike
 (the generalized N-instance AS model), sparse LU with symbolic-pattern
 reuse (:mod:`repro.ctmc.sparse`) otherwise.  ``method="auto"``
 additionally picks the banded engine for banded models of
 :data:`~repro.ctmc.sparse.BANDED_MIN_STATES` states or more, the same
-cutover scalar ``auto`` uses.  The bit-parity contract applies to the
-dense paths; the structured engines match the dense reference to ~1e-12.
+cutover scalar ``auto`` uses.  The banded engine takes the MTTF Lambda
+from its own kernel too, through the
+:class:`~repro.ctmc.rewards.RenewalClosure` (the same bits as a scalar
+banded solve on the C path); only sparse LU solves ``Q_UU m = -1``.
 """
 
 from __future__ import annotations
@@ -60,19 +58,21 @@ from repro.ctmc.sparse import (
 )
 from repro.kernels.banded import banded_kernel_plan, banded_steady_state
 from repro.kernels.dense import dense_gth, dense_kernel_plan
-from repro.ctmc.rewards import _check_abstraction, _equivalent_rates
-from repro.ctmc.steady_state import _solve, steady_state_vector
+from repro.ctmc.rewards import (
+    RenewalClosure,
+    _check_abstraction,
+    _equivalent_rates,
+)
+from repro.ctmc.steady_state import (
+    BATCH_METHODS,
+    _solve,
+    steady_state_vector,
+)
 from repro.ctmc.structure import _reachable_mask, classify_states
 from repro.exceptions import SolverError, StructureError
 from repro.units import unavailability_to_yearly_downtime_minutes
 
 ModelLike = Union[MarkovModel, CompiledModel]
-
-#: Methods accepted by the batch solvers.  "direct" and "gth" keep their
-#: dense-path semantics below SPARSE_THRESHOLD, where "auto" is "gth"
-#: unless the banded cutover applies; "banded" and "sparse" force a
-#: structured engine at any size.
-BATCH_METHODS = ("direct", "gth", "auto", "banded", "sparse")
 
 
 @dataclass(frozen=True)
@@ -81,9 +81,6 @@ class PatternStructure:
 
     Attributes:
         n_recurrent_classes: Number of recurrent communicating classes.
-        recurrent_idx: State indices of the (single) recurrent class, in
-            classification order (matching the scalar solver's block
-            restriction order); ``None`` when classes != 1.
         covers_all: True when the single recurrent class spans the whole
             state space (the common irreducible case).
         mtta_error: Error message when some up state cannot reach the
@@ -92,7 +89,6 @@ class PatternStructure:
     """
 
     n_recurrent_classes: int
-    recurrent_idx: Optional[np.ndarray]
     covers_all: bool
     mtta_error: Optional[str]
 
@@ -169,15 +165,10 @@ def pattern_structure(
 
     generator = _pattern_generator(compiled, pattern)
     classification = classify_states(generator)
-    if classification.has_single_recurrent_class:
-        recurrent_names = classification.recurrent_classes[0]
-        recurrent_idx = np.array(
-            [compiled.index[name] for name in recurrent_names], dtype=np.intp
-        )
-        covers_all = len(recurrent_names) == compiled.n_states
-    else:
-        recurrent_idx = None
-        covers_all = False
+    covers_all = (
+        classification.has_single_recurrent_class
+        and len(classification.recurrent_classes[0]) == compiled.n_states
+    )
 
     mtta_error: Optional[str] = None
     if compiled.down_idx.size and compiled.up_idx.size:
@@ -192,7 +183,6 @@ def pattern_structure(
 
     info = PatternStructure(
         n_recurrent_classes=len(classification.recurrent_classes),
-        recurrent_idx=recurrent_idx,
         covers_all=covers_all,
         mtta_error=mtta_error,
     )
@@ -234,118 +224,6 @@ def _pattern_groups(
         (patterns[rows[key]], np.asarray(idx, dtype=np.intp))
         for key, idx in members.items()
     ]
-
-
-# Stacked linear algebra ----------------------------------------------------
-
-
-def _stacked_direct(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Solve ``pi Q = 0, sum(pi) = 1`` for a stack of dense generators.
-
-    Returns ``(pis, solved)`` where ``solved`` marks samples whose LU
-    factorization succeeded (a singular sample never aborts the batch).
-    """
-    k, n, _ = mats.shape
-    a = mats.transpose(0, 2, 1).copy()
-    a[:, n - 1, :] = 1.0
-    b = np.zeros(n)
-    b[n - 1] = 1.0
-    solved = np.ones(k, dtype=bool)
-    try:
-        pis = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        # At least one sample is singular; redo sample-by-sample so the
-        # healthy ones still get their exact stacked-equivalent solution.
-        pis = np.zeros((k, n))
-        for s in range(k):
-            try:
-                pis[s] = np.linalg.solve(a[s], b)
-            except np.linalg.LinAlgError:
-                solved[s] = False
-    return np.asarray(pis, dtype=float), solved
-
-
-def _finalize_block(
-    pis: np.ndarray,
-    solved: np.ndarray,
-    model_name: str,
-    sample_ids: np.ndarray,
-) -> np.ndarray:
-    """Validate, clip and renormalize a block of LU-solved vectors.
-
-    Mirrors the scalar ``_check_probability_vector`` checks per sample.
-    """
-    tol = 1e-8
-    finite = np.isfinite(pis).all(axis=1)
-    sums = pis.sum(axis=1)
-    ok = (
-        solved
-        & finite
-        & (pis.min(axis=1) >= -tol)
-        & (np.abs(sums - 1.0) <= 1e-6)
-    )
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        if not solved[bad[0]]:
-            raise SolverError(
-                f"steady-state system is singular for model {model_name!r} "
-                f"(sample {int(sample_ids[bad[0]])})"
-            )
-        else:
-            raise SolverError(
-                f"steady-state solve produced an invalid probability "
-                f"vector for model {model_name!r} "
-                f"(sample {int(sample_ids[bad[0]])})"
-            )
-    np.clip(pis, 0.0, None, out=pis)
-    pis /= pis.sum(axis=1, keepdims=True)
-    return pis
-
-
-def _solve_group(
-    compiled: CompiledModel,
-    mats: np.ndarray,
-    info: PatternStructure,
-    sample_ids: np.ndarray,
-) -> np.ndarray:
-    """Stacked-LU steady-state vectors for one zero-pattern group."""
-    k, n, _ = mats.shape
-    if info.n_recurrent_classes != 1:
-        raise StructureError(
-            f"model {compiled.model_name!r} has "
-            f"{info.n_recurrent_classes} recurrent classes; the "
-            f"stationary distribution is not unique "
-            f"(sample {int(sample_ids[0])})"
-        )
-    if info.covers_all:
-        pis, solved = _stacked_direct(mats)
-        return _finalize_block(pis, solved, compiled.model_name, sample_ids)
-    # A unique stationary distribution still exists: zero mass on the
-    # transient states, solve within the recurrent class.
-    recurrent = info.recurrent_idx
-    assert recurrent is not None
-    full = np.zeros((k, n))
-    if recurrent.size == 1:
-        full[:, recurrent[0]] = 1.0
-        return full
-    blocks = mats[:, recurrent[:, None], recurrent[None, :]]
-    pis, solved = _stacked_direct(blocks)
-    full[:, recurrent] = _finalize_block(
-        pis, solved, compiled.model_name, sample_ids
-    )
-    return full
-
-
-def _grouped_steady_state(
-    compiled: CompiledModel, rates: np.ndarray, mats: np.ndarray
-) -> np.ndarray:
-    """Stacked-LU solve of every sample, grouped by zero-pattern."""
-    k = mats.shape[0]
-    pis = np.empty((k, compiled.n_states))
-    for pattern, members in _pattern_groups(compiled.n_transitions, rates):
-        info = pattern_structure(compiled, pattern)
-        pis[members] = _solve_group(compiled, mats[members], info, members)
-    return pis
 
 
 def _kernel_solve(
@@ -436,6 +314,18 @@ def _sparse_solver_of(compiled: CompiledModel) -> SparseSteadyStateSolver:
     return cache["sparse_steady"]  # type: ignore[return-value]
 
 
+def _renewal_closure_of(compiled: CompiledModel) -> RenewalClosure:
+    cache = compiled.solver_cache
+    if "renewal_closure" not in cache:
+        cache["renewal_closure"] = RenewalClosure(
+            compiled.n_states,
+            compiled.transition_sources,
+            compiled.transition_targets,
+            compiled.up_mask,
+        )
+    return cache["renewal_closure"]  # type: ignore[return-value]
+
+
 def _upblock_solver_of(compiled: CompiledModel) -> SparseUpBlockSolver:
     cache = compiled.solver_cache
     if "sparse_upblock" not in cache:
@@ -451,13 +341,12 @@ def _upblock_solver_of(compiled: CompiledModel) -> SparseUpBlockSolver:
 def _resolve_engine(compiled: CompiledModel, method: str) -> str:
     """Map a requested method to the engine that will actually run.
 
-    Returns one of ``"direct"`` (stacked LU), ``"gth"`` (the dense
-    kernel; ``"auto"`` below the cutover) or ``"banded"``, ``"sparse"``
-    (structured engines).  Dense methods on models at or above
-    SPARSE_THRESHOLD states are redirected to a structured engine —
-    mirroring the scalar path, which switches to sparse assembly at the
-    same size — instead of materializing an O(n^2)-per-sample dense
-    stack.
+    Returns one of ``"gth"`` (the dense kernel; ``"auto"`` below the
+    cutover) or ``"banded"``, ``"sparse"`` (structured engines).
+    ``"gth"`` on models at or above SPARSE_THRESHOLD states is redirected
+    to a structured engine — mirroring the scalar path, which switches
+    to sparse assembly at the same size — instead of materializing an
+    O(n^2)-per-sample dense work matrix.
     """
     if method not in BATCH_METHODS:
         raise SolverError(
@@ -465,7 +354,7 @@ def _resolve_engine(compiled: CompiledModel, method: str) -> str:
             f"expected one of {BATCH_METHODS}"
         )
     n = compiled.n_states
-    if method in ("direct", "gth"):
+    if method == "gth":
         if n < SPARSE_THRESHOLD:
             return method
         if banded_structure_of(compiled) is not None:
@@ -551,12 +440,11 @@ def _structured_steady_state(
 ) -> np.ndarray:
     """Grouped steady-state solve through a structured engine.
 
-    Mirrors :func:`_grouped_steady_state`: samples are grouped by
-    transition zero-pattern and classified once per pattern.  Irreducible
-    groups go through the batched banded GTH or the pattern-reusing
-    sparse LU; the (rare) reducible-but-unique patterns fall back to the
-    scalar sparse solver per sample, which handles the recurrent-class
-    restriction.
+    Samples are grouped by transition zero-pattern and classified once
+    per pattern.  Irreducible groups go through the batched banded GTH
+    or the pattern-reusing sparse LU; the (rare) reducible-but-unique
+    patterns fall back to the scalar ``auto`` solve per sample, which
+    handles the recurrent-class restriction.
     """
     k = rates.shape[0]
     pis = np.empty((k, compiled.n_states))
@@ -576,7 +464,7 @@ def _structured_steady_state(
         else:
             for s in members:
                 pis[s] = steady_state_vector(
-                    _sample_generator(compiled, rates[s]), method="direct"
+                    _sample_generator(compiled, rates[s]), method="auto"
                 )
     return pis
 
@@ -623,13 +511,15 @@ def _structured_equivalent_rates(
     p_up: np.ndarray,
     p_down: np.ndarray,
     abstraction: str,
+    engine: str,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Equivalent (Lambda, Mu) rates without dense generator stacks.
+    """Equivalent (Lambda, Mu) rates of a structured engine's vectors.
 
-    Same semantics as :func:`_batch_equivalent_rates`, but all flows are
-    contracted directly over the transition list (O(T) per sample) and
-    the MTTF solve goes through the pattern-reusing sparse up-block
-    solver.
+    The scalar library's semantics, with every flow contracted directly
+    over the transition list (O(T) per sample).  The banded engine takes
+    the MTTF from its own kernel through the model's
+    :class:`~repro.ctmc.rewards.RenewalClosure`; the sparse engine
+    solves ``Q_UU m = -1`` with the pattern-reusing up-block solver.
     """
     k = rates.shape[0]
     up = compiled.up_mask
@@ -645,13 +535,15 @@ def _structured_equivalent_rates(
     if abstraction == "mttf":
         lam = np.zeros(k)
         need = np.flatnonzero(flow_down > 0.0)
-        if need.size:
-            for s in need:
-                info = pattern_structure(compiled, rates[s] > 0.0)
-                if info.mtta_error is not None:
-                    raise StructureError(
-                        f"{info.mtta_error} (sample {int(s)})"
-                    )
+        for s in need:
+            info = pattern_structure(compiled, rates[s] > 0.0)
+            if info.mtta_error is not None:
+                raise StructureError(f"{info.mtta_error} (sample {int(s)})")
+        if need.size and engine == "banded":
+            lam[need] = _renewal_closure_of(compiled).failure_rates(
+                rates[need], banded=True
+            )
+        elif need.size:
             solver = _upblock_solver_of(compiled)
             for s in need:
                 mtta0 = solver.mtta_initial(rates[s])
@@ -686,7 +578,7 @@ def batch_steady_state(
     model: ModelLike,
     values: Mapping[str, ColumnLike],
     n_samples: Optional[int] = None,
-    method: str = "direct",
+    method: str = "auto",
 ) -> np.ndarray:
     """Stationary distributions for a whole batch of parameter samples.
 
@@ -698,14 +590,13 @@ def batch_steady_state(
             value per sample.
         n_samples: Number of samples; inferred from the first array
             column when omitted.
-        method: ``"direct"`` (stacked LU; raises on failure exactly like
-            the scalar solver), ``"gth"`` (the dense GTH kernel),
-            ``"auto"`` (``"gth"``, switching to the banded engine for
-            medium/large banded models), ``"banded"`` (force the batched
+        method: ``"auto"`` (the default: ``"gth"``, switching to the
+            banded engine for medium/large banded models), ``"gth"``
+            (the dense GTH kernel), ``"banded"`` (force the batched
             banded GTH; raises when the model has no banded-plus-spike
             structure) or ``"sparse"`` (force the pattern-reusing sparse
-            LU).  Dense methods on models at or above SPARSE_THRESHOLD
-            states are transparently redirected to a structured engine.
+            LU).  ``"gth"`` on models at or above SPARSE_THRESHOLD
+            states is transparently redirected to a structured engine.
 
     Returns:
         ``(n_samples, n_states)`` array of stationary vectors in the
@@ -719,12 +610,9 @@ def batch_steady_state(
         engine = _resolve_engine(compiled, method)
         span.set(engine=engine, n_samples=n_samples)
         rates = compiled.rate_matrix(values, n_samples)
-        if engine in ("banded", "sparse"):
-            return _structured_steady_state(compiled, rates, engine)
         if engine == "gth":
             return _kernel_solve(compiled, rates, None)[0]
-        mats = compiled.generator_batch(rates, allow_dense=True)
-        return _grouped_steady_state(compiled, rates, mats)
+        return _structured_steady_state(compiled, rates, engine)
 
 
 @dataclass(frozen=True)
@@ -756,13 +644,14 @@ def batch_availability(
     model: ModelLike,
     values: Mapping[str, ColumnLike],
     n_samples: Optional[int] = None,
-    method: str = "direct",
+    method: str = "auto",
     abstraction: str = "mttf",
 ) -> BatchAvailability:
     """Batched equivalent of :func:`repro.ctmc.rewards.steady_state_availability`.
 
-    Solves every sample's stationary distribution with the stacked
-    solver, then derives availability, the (Lambda, Mu) equivalent-rate
+    Solves every sample's stationary distribution with the engine
+    ``method`` resolves to (see :func:`batch_steady_state`), then
+    derives availability, the (Lambda, Mu) equivalent-rate
     abstraction (``"mttf"`` or ``"flow"`` semantics, matching the scalar
     path branch for branch), yearly downtime and MTBF/MTTR — all as
     arrays over the batch.
@@ -784,22 +673,14 @@ def batch_availability(
                 compiled, rates, abstraction
             )
         else:
-            if engine in ("banded", "sparse"):
-                pis = _structured_steady_state(compiled, rates, engine)
-            else:
-                mats = compiled.generator_batch(rates, allow_dense=True)
-                pis = _grouped_steady_state(compiled, rates, mats)
+            pis = _structured_steady_state(compiled, rates, engine)
             p_up, unavailability = _masses(compiled.up_mask, pis)
         if not _require_interface(compiled, p_up, abstraction):
             lam, mu = np.zeros(n_samples), np.full(n_samples, np.inf)
-        elif engine in ("banded", "sparse"):
+        elif engine != "gth":
             lam, mu = _structured_equivalent_rates(
-                compiled, rates, pis, p_up, unavailability, abstraction
-            )
-        elif engine == "direct":
-            lam, mu = _batch_equivalent_rates(
-                compiled, rates, mats, pis, p_up, unavailability,
-                abstraction,
+                compiled, rates, pis, p_up, unavailability, abstraction,
+                engine,
             )
     # Both rates are >= 0, so the IEEE reciprocal is the scalar path's
     # MTBF / MTTR: inf for a zero rate and 0 for an infinite one.
@@ -819,98 +700,6 @@ def batch_availability(
         mtbf_hours=mtbf,
         mttr_hours=mttr,
     )
-
-
-def _batch_equivalent_rates(
-    compiled: CompiledModel,
-    rates: np.ndarray,
-    mats: np.ndarray,
-    pis: np.ndarray,
-    p_up: np.ndarray,
-    p_down: np.ndarray,
-    abstraction: str,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Stacked-LU :func:`~repro.ctmc.rewards.equivalent_failure_recovery_rates`
-    (the ``"direct"`` semantics: ``Q_UU m = -1``, flow rate fallback)."""
-    k = mats.shape[0]
-    up = compiled.up_mask
-    up_idx, down_idx = compiled.up_idx, compiled.down_idx
-
-    # flow_down[s] = pi_up . (row sums of the up->down block), exactly
-    # the scalar path's contraction (per-sample BLAS dot for bit parity;
-    # the rows must be contiguous — strided ddot sums in a different
-    # order and drifts by an ulp).
-    pis_up = np.ascontiguousarray(pis[:, up])
-    w_down = np.ascontiguousarray(
-        mats[:, up_idx[:, None], down_idx[None, :]]
-    ).sum(axis=2)
-    flow_down = np.empty(k)
-    for s in range(k):
-        flow_down[s] = np.dot(pis_up[s], w_down[s])
-
-    if abstraction == "mttf":
-        lam = np.zeros(k)
-        need = np.flatnonzero(flow_down > 0.0)
-        if need.size:
-            patterns = rates[need] > 0.0
-            for s, pattern in zip(need, patterns):
-                info = pattern_structure(compiled, pattern)
-                if info.mtta_error is not None:
-                    raise StructureError(
-                        f"{info.mtta_error} (sample {int(s)})"
-                    )
-            mtta0, solved = _stacked_mtta_initial(mats[need], up_idx)
-            fallback = flow_down[need] / p_up[need]
-            lam[need] = np.where(solved, 1.0 / mtta0, fallback)
-    else:
-        lam = flow_down / p_up
-
-    mu = np.full(k, np.inf)
-    reachable_down = np.flatnonzero(p_down > 0.0)
-    if reachable_down.size:
-        pis_down = np.ascontiguousarray(pis[:, ~up])
-        w_up = np.ascontiguousarray(
-            mats[:, down_idx[:, None], up_idx[None, :]]
-        ).sum(axis=2)
-        for s in reachable_down:
-            flow_up = np.dot(pis_down[s], w_up[s])
-            mu[s] = flow_up / p_down[s]
-    return lam, mu
-
-
-def _stacked_mtta_initial(
-    mats: np.ndarray, up_idx: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Mean time from the initial state into the down set, per sample.
-
-    Solves the stacked ``Q_UU m = -1`` systems over the up (transient)
-    block.  Returns ``(m0, solved)`` where ``solved`` is False for
-    samples whose system was singular or produced invalid times — the
-    caller falls back to the flow abstraction for those, mirroring the
-    scalar path's ``SolverError`` handling.
-    """
-    k = mats.shape[0]
-    blocks = mats[:, up_idx[:, None], up_idx[None, :]]
-    u = up_idx.size
-    rhs = -np.ones(u)
-    solved = np.ones(k, dtype=bool)
-    try:
-        m = np.linalg.solve(blocks, rhs)
-    except np.linalg.LinAlgError:
-        m = np.zeros((k, u))
-        for s in range(k):
-            try:
-                m[s] = np.linalg.solve(blocks[s], rhs)
-            except np.linalg.LinAlgError:
-                solved[s] = False
-    m = np.asarray(m, dtype=float)
-    valid = np.isfinite(m).all(axis=1) & (m.min(axis=1) >= 0.0)
-    solved &= valid
-    # The initial state (canonical index 0) is the first up state, so
-    # its position inside the up block is 0.
-    m0 = m[:, 0]
-    m0 = np.where(solved, m0, 1.0)  # placeholder; caller masks with `solved`
-    return m0, solved
 
 
 def _model_name(model: ModelLike) -> str:

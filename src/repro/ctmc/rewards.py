@@ -30,11 +30,12 @@ exactly; with ``"mttf"`` it is the standard hierarchical approximation,
 accurate to O(unavailability) for highly available systems — the paper's
 Table 2/3 values are reproduced with ``"mttf"``.
 
-Under the ``"gth"`` method (and ``"auto"`` on dense chains below the
-banded cutover) the MTTF comes from the dense kernel's renewal closure
-(:mod:`repro.kernels.dense`), which never subtracts; ``"direct"`` and
-the banded engine solve ``Q_UU m = -1`` and fall back to the flow rate
-when that system is numerically singular.
+The dense and banded engines read the MTTF off a renewal closure, which
+never subtracts: the dense kernel collapses the down set into one state
+(:mod:`repro.kernels.dense`), and the banded engine runs
+:class:`RenewalClosure` through its own kernel.  Only ``"sparse"``
+solves ``Q_UU m = -1``, and it falls back to the flow rate when that
+system is numerically singular.
 """
 
 from __future__ import annotations
@@ -45,8 +46,13 @@ from typing import Dict, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.model import MarkovModel
+from repro.ctmc.absorption import _require_targets_reachable
 from repro.ctmc.generator import GeneratorMatrix, as_generator
-from repro.ctmc.sparse import _generator_coo
+from repro.ctmc.sparse import (
+    SparseUpBlockSolver,
+    _generator_coo,
+    detect_banded_structure,
+)
 from repro.ctmc.steady_state import (
     Interface,
     _resolve_method,
@@ -54,6 +60,7 @@ from repro.ctmc.steady_state import (
     steady_state_vector,
 )
 from repro.exceptions import SolverError, StructureError
+from repro.kernels.banded import BandedKernelPlan, banded_steady_state
 from repro.kernels.dense import DenseKernelPlan, dense_gth
 from repro.units import unavailability_to_yearly_downtime_minutes
 
@@ -103,7 +110,7 @@ class AvailabilityResult:
 def expected_steady_state_reward(
     model_or_generator: Union[MarkovModel, GeneratorMatrix],
     values: Optional[Mapping[str, float]] = None,
-    method: str = "direct",
+    method: str = "auto",
 ) -> float:
     """Expected reward rate under the stationary distribution.
 
@@ -120,7 +127,7 @@ def equivalent_failure_recovery_rates(
     model_or_generator: Union[MarkovModel, GeneratorMatrix],
     values: Optional[Mapping[str, float]] = None,
     pi: Optional[np.ndarray] = None,
-    method: str = "direct",
+    method: str = "auto",
     abstraction: str = "mttf",
 ) -> Tuple[float, float]:
     """The (Lambda, Mu) abstraction of a submodel (see module docstring).
@@ -186,31 +193,12 @@ def _equivalent_rates(
         return interface[0], interface[1]
     q = generator.dense()
     flow_down = float(pi[up] @ q[np.ix_(up, ~up)].sum(axis=1))
-    if abstraction == "mttf":
-        # Deferred import: absorption depends on generator/structure only.
-        from repro.ctmc.absorption import mean_time_to_absorption
-
-        down_names = [
-            name
-            for name, is_up in zip(generator.state_names, up)
-            if not is_up
-        ]
-        initial = generator.state_names[0]
-        if flow_down <= 0.0:
-            lam = 0.0
-        elif resolved == "gth":
-            lam = _renewal_failure_rate(generator, up, down_names)
-        else:
-            try:
-                mttf = mean_time_to_absorption(generator, down_names)[initial]
-                lam = 1.0 / mttf
-            except SolverError:
-                # Hitting times beyond ~1e16 hours overwhelm float64; in
-                # that regime the flow abstraction coincides with 1/MTTF
-                # to O(unavailability), so fall back to it.
-                lam = flow_down / p_up
-    else:
+    if abstraction == "flow":
         lam = flow_down / p_up
+    elif flow_down <= 0.0:
+        lam = 0.0
+    else:
+        lam = _mttf_failure_rate(generator, up, resolved, flow_down / p_up)
     if p_down <= 0.0:
         # Down states exist but are unreachable for this parameterization.
         return lam, float("inf")
@@ -219,56 +207,132 @@ def _equivalent_rates(
     return lam, mu
 
 
-def _renewal_failure_rate(
-    generator: GeneratorMatrix, up: np.ndarray, down_names
+def _mttf_failure_rate(
+    generator: GeneratorMatrix, up: np.ndarray, resolved: str,
+    flow_rate: float,
 ) -> float:
-    """``1 / MTTF`` from the initial state by the renewal closure.
+    """``1 / MTTF`` from the initial state, on the engine that solved pi.
 
-    The dense kernel's closure (:mod:`repro.kernels.dense`) built
-    explicitly, for chains whose stationary vector came from a
-    recurrent-class restriction: the down set collapses into one state A
-    that returns to the initial state at rate 1, and Lambda is the flow
-    rate into A in that chain.
+    The banded and dense engines read it off the :class:`RenewalClosure`
+    (the dense kernel's closure built explicitly, for chains whose
+    stationary vector came from a recurrent-class restriction).  The
+    sparse engine solves ``Q_UU m = -1``; when that fails (hitting times
+    beyond ~1e16 hours overwhelm float64) the flow abstraction coincides
+    with 1/MTTF to O(unavailability), so it falls back to ``flow_rate``.
     """
-    from repro.ctmc.absorption import _require_targets_reachable
-
     names = generator.state_names
     _require_targets_reachable(
-        generator, [n for n, is_up in zip(names, up) if is_up],
-        set(down_names),
+        generator,
+        [name for name, is_up in zip(names, up) if is_up],
+        {name for name, is_up in zip(names, up) if not is_up},
     )
     sources, targets, rates = _generator_coo(generator)
-    n_up = int(up.sum())
-    position = np.cumsum(up) - 1
-    inner = up[sources] & up[targets]
-    crossing = up[sources] & ~up[targets]
-    exits = np.bincount(
-        position[sources[crossing]], weights=rates[crossing], minlength=n_up
-    )
-    leaving = np.flatnonzero(exits > 0.0)
-    plan = DenseKernelPlan(
-        n_up + 1,
-        np.concatenate([position[sources[inner]], leaving, [n_up]]),
-        np.concatenate(
-            [position[targets[inner]], np.full(leaving.size, n_up), [0]]
-        ),
-        np.arange(n_up + 1) < n_up,
-    )
-    closure_rates = np.concatenate([rates[inner], exits[leaving], [1.0]])
-    _, lam, _, status, _, _ = dense_gth(
-        plan, closure_rates[None, :], mttf=False
-    )
-    if status[0] != 0.0:
+    if resolved == "sparse":
+        mtta0 = SparseUpBlockSolver(
+            generator.n_states, sources, targets, np.flatnonzero(up)
+        ).mtta_initial(rates)
+        return 1.0 / mtta0 if mtta0 is not None and mtta0 > 0.0 else flow_rate
+    closure = RenewalClosure(generator.n_states, sources, targets, up)
+    try:
+        lam = closure.failure_rates(rates[None, :], resolved == "banded")
+    except SolverError as exc:
         raise SolverError(
             f"renewal closure failed for model {generator.model_name!r}"
-        )
+        ) from exc
     return float(lam[0])
+
+
+class RenewalClosure:
+    """The chain whose stationary vector gives ``Lambda = 1 / MTTF``.
+
+    Keeps every arc that leaves an up state and sends each down state
+    back to the initial state (state 0, which must be up) at rate 1.
+    Each up period of the closure then starts in the initial state and
+    ends at the first entry into the down set, and each down period
+    lasts one hour on average, so ``P(D) / P(U) = 1 / MTTF``.  GTH never
+    subtracts, so the rate's relative accuracy does not depend on how
+    long the hitting time is (~1e14 h for the large AS submodels),
+    unlike a solve of ``Q_UU m = -1``.
+
+    The new arcs enter state 0, the spike column of a banded chain, so
+    the closure of a banded-plus-spike chain keeps its band and the
+    banded kernel runs it unchanged.  Built from a transition list: once
+    per compiled model for batch solves, per call from a generator's
+    arcs for scalar ones.
+    """
+
+    __slots__ = ("n", "up", "sources", "targets", "_leaving", "_banded")
+
+    def __init__(
+        self,
+        n: int,
+        sources: np.ndarray,
+        targets: np.ndarray,
+        up: np.ndarray,
+    ) -> None:
+        up = np.asarray(up, dtype=bool)
+        leaving = np.flatnonzero(up[sources])
+        down = np.flatnonzero(~up)
+        self.n = int(n)
+        self.up = up
+        self.sources = np.concatenate([sources[leaving], down])
+        self.targets = np.concatenate(
+            [targets[leaving], np.zeros(down.size, dtype=np.intp)]
+        )
+        self._leaving = leaving
+        self._banded: Optional[BandedKernelPlan] = None
+
+    def banded_plan(self) -> Optional[BandedKernelPlan]:
+        """The closure's banded kernel plan, or ``None`` without a band."""
+        if self._banded is None:
+            structure = detect_banded_structure(
+                self.n, self.sources, self.targets
+            )
+            if structure is not None:
+                self._banded = BandedKernelPlan(
+                    structure, self.sources, self.targets
+                )
+        return self._banded
+
+    def failure_rates(self, rates: np.ndarray, banded: bool) -> np.ndarray:
+        """``1 / MTTF`` for each row of the chain's ``(k, n_arcs)`` rates.
+
+        Solved by the banded kernel when ``banded`` and the closure has a
+        band, else by the dense GTH kernel.
+
+        Raises:
+            SolverError: When the closure's elimination fails (an up
+                state cannot reach the down set).
+        """
+        k = rates.shape[0]
+        closure_rates = np.concatenate(
+            [
+                rates[:, self._leaving],
+                np.ones((k, self.sources.size - self._leaving.size)),
+            ],
+            axis=1,
+        )
+        plan = self.banded_plan() if banded else None
+        if plan is not None:
+            pis = banded_steady_state(plan, closure_rates)
+        else:
+            dense = DenseKernelPlan(
+                self.n, self.sources, self.targets, self.up
+            )
+            pis, _, _, status, _, _ = dense_gth(
+                dense, closure_rates, mttf=False
+            )
+            if status.any():
+                raise SolverError("renewal closure elimination failed")
+        p_up = np.ascontiguousarray(pis[:, self.up]).sum(axis=1)
+        p_down = np.ascontiguousarray(pis[:, ~self.up]).sum(axis=1)
+        return p_down / p_up
 
 
 def steady_state_availability(
     model_or_generator: Union[MarkovModel, GeneratorMatrix],
     values: Optional[Mapping[str, float]] = None,
-    method: str = "direct",
+    method: str = "auto",
     abstraction: str = "mttf",
 ) -> AvailabilityResult:
     """Full steady-state availability report for one model.

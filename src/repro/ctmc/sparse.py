@@ -28,10 +28,14 @@ provides the two structure-exploiting paths such models go through:
   rates to data slots) exactly once per compiled model; each sample then
   only fills the data array and factorizes with ``splu``.  A sample
   whose factorization fails or yields no probability vector raises
-  :class:`~repro.exceptions.SolverError`.
+  :class:`~repro.exceptions.SolverError`.  The sparse engine's MTTF
+  comes from the same kind of solve over the up block
+  (:class:`SparseUpBlockSolver`); the dense and banded engines read it
+  off a renewal closure instead
+  (:class:`repro.ctmc.rewards.RenewalClosure`).
 
-Both paths are exercised against the dense reference solvers by the
-property tests in ``tests/ctmc/test_sparse.py``.
+Both paths are exercised against the dense GTH kernel by the property
+tests in ``tests/ctmc/test_sparse.py``.
 """
 
 from __future__ import annotations
@@ -390,8 +394,7 @@ class SparseUpBlockSolver:
 
     def mtta_initial(self, rates_row: np.ndarray) -> Optional[float]:
         """Mean time from state 0 into the down set, or ``None`` on
-        failure (the caller falls back to the flow abstraction, exactly
-        like the dense path)."""
+        failure (the caller falls back to the flow abstraction)."""
         from scipy.sparse.linalg import splu
 
         a = self._pattern.assemble(rates_row)

@@ -1,34 +1,34 @@
 """Steady-state (stationary) distribution solvers.
 
-Two general algorithms are provided:
+Every method runs one of the batch engine's solvers on the generator's
+arcs, so a scalar solve and a batch solve of the same chain agree: bit
+for bit on the dense kernel and on the C band path, to rounding on the
+LAPACK band path and in sparse LU.
 
-* ``"direct"`` — replace one balance equation with the normalization
-  constraint and solve the dense/sparse linear system with LU.
 * ``"gth"`` — the Grassmann–Taksar–Heyman elimination, which avoids
-  subtractions entirely and is numerically robust for *stiff* chains where
-  rates span many orders of magnitude (availability models routinely mix
-  per-year failure rates with per-minute repair rates — eight orders of
-  magnitude in this paper's models).  It runs the batch engine's dense
-  kernel (:mod:`repro.kernels.dense`) with one sample on the
-  generator's arcs, so a scalar solve and a batch solve of the same
-  chain give the same bits.
+  subtractions entirely and is numerically robust for *stiff* chains
+  where rates span many orders of magnitude (availability models
+  routinely mix per-year failure rates with per-minute repair rates —
+  eight orders of magnitude in this paper's models).  It runs the dense
+  kernel (:mod:`repro.kernels.dense`) with one sample.
+* ``"banded"`` — the banded kernel (:mod:`repro.kernels.banded`: C GTH
+  elimination restricted to the generator's band plus the column-0
+  repair spike, or LAPACK band-LU on a host with no C compiler);
+  O(n b^2) instead of O(n^3).  Only valid for banded-plus-spike chains
+  (the generalized N-instance AS model, birth-death chains; see
+  :mod:`repro.ctmc.sparse`).
+* ``"sparse"`` — sparse LU with a symbolic pattern
+  (:class:`~repro.ctmc.sparse.SparseSteadyStateSolver`), for large
+  chains without a band.
 
-A structure-exploiting method extends the reach to large state spaces:
-
-* ``"banded"`` — the batch engine's banded kernel
-  (:mod:`repro.kernels.banded`: C GTH elimination restricted to the
-  generator's band plus the column-0 repair spike, or LAPACK band-LU on
-  a host with no C compiler); O(n b^2) instead of O(n^3).  Only valid
-  for banded-plus-spike chains (the generalized N-instance AS model,
-  birth-death chains; see :mod:`repro.ctmc.sparse`).
-
-``"auto"`` picks for you: banded when the structure is detected on a
-chain of :data:`~repro.ctmc.sparse.BANDED_MIN_STATES` states or more
-(the batch engine's cutover too), direct (sparse LU) on a sparse
-generator without that structure, otherwise gth.  All methods agree to
-tight tolerances on the paper's models; the property tests in
+``"auto"`` (the default) picks for you: banded when the structure is
+detected on a chain of :data:`~repro.ctmc.sparse.BANDED_MIN_STATES`
+states or more (the batch engine's cutover too), sparse on a sparse
+generator without that structure, otherwise gth.  The property tests in
 ``tests/ctmc/test_steady_state.py`` and ``tests/ctmc/test_sparse.py``
-enforce this on random chains.
+check the methods against closed forms and each other, and
+``tests/ctmc/test_exact_oracle.py`` checks ``auto`` against an exact
+rational solve.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from repro.ctmc.sparse import (
     BANDED_MIN_STATES,
     MAX_BANDWIDTH,
     BandedStructure,
+    SparseSteadyStateSolver,
     _generator_coo,
     detect_banded_structure,
 )
@@ -52,7 +53,12 @@ from repro.exceptions import SolverError, StructureError
 from repro.kernels.banded import BandedKernelPlan, banded_steady_state
 from repro.kernels.dense import DenseKernelPlan, dense_gth
 
-Method = str  # "direct" | "gth" | "banded" | "auto"
+Method = str  # one of BATCH_METHODS
+
+#: Methods every steady-state solver accepts, scalar and batch.  "gth"
+#: and "auto" keep the dense kernel below the cutovers, "banded" and
+#: "sparse" force a structured engine at any size.
+BATCH_METHODS = ("gth", "auto", "banded", "sparse")
 
 #: ``(Lambda, Mu, P(up), P(down))`` as the dense kernel computed them
 #: alongside the vector.
@@ -61,15 +67,14 @@ Interface = Optional[Tuple[float, float, float, float]]
 
 def steady_state_vector(
     generator: GeneratorMatrix,
-    method: Method = "direct",
+    method: Method = "auto",
     check_structure: bool = True,
 ) -> np.ndarray:
     """Solve ``pi Q = 0``, ``sum(pi) = 1`` for an irreducible generator.
 
     Args:
         generator: The bound generator matrix.
-        method: One of ``"direct"``, ``"gth"``, ``"banded"`` or
-            ``"auto"``.
+        method: One of :data:`BATCH_METHODS`.
         check_structure: Verify the chain has a single recurrent class
             covering all states before solving.  Disable only when the
             caller has already checked.
@@ -100,10 +105,10 @@ def _solve(
     when it solved the whole chain (``mttf`` picks Lambda's semantics),
     else ``None``.
     """
-    if method not in ("direct", "gth", "banded", "auto"):
+    if method not in BATCH_METHODS:
         raise SolverError(
             f"unknown steady-state method {method!r}; "
-            "expected 'direct', 'gth', 'banded' or 'auto'"
+            f"expected one of {BATCH_METHODS}"
         )
     if check_structure:
         classification = classify_states(generator)
@@ -147,10 +152,13 @@ def _solve(
         # GTH output is non-negative and normalized by construction.
         pi, interface = _solve_gth(generator, arcs, mttf)
         return pi, method, interface
-    if method == "direct":
-        pi = _solve_direct(generator)
-    else:
+    if method == "banded":
         pi = _solve_banded(generator, arcs, structure)
+    else:
+        sources, targets, rates = arcs
+        pi = SparseSteadyStateSolver(
+            generator.n_states, sources, targets
+        ).solve(rates)
     _check_probability_vector(pi, generator, tol=1e-8)
     return pi, method, None
 
@@ -166,19 +174,18 @@ def _resolve_method(
     banded-plus-spike, sparse LU on other sparse generators, and the
     dense GTH kernel otherwise (the batch engine's choices too).
     """
-    arcs = structure = None
-    if method == "banded" or (
-        method == "auto" and generator.n_states >= BANDED_MIN_STATES
-    ):
-        arcs = _generator_coo(generator)
-        structure = detect_banded_structure(
-            generator.n_states, arcs[0], arcs[1]
-        )
+    n = generator.n_states
+    if method == "gth" or (method == "auto" and n < BANDED_MIN_STATES):
+        return "gth", None, None
+    arcs = _generator_coo(generator)
+    structure = None
+    if method != "sparse":
+        structure = detect_banded_structure(n, arcs[0], arcs[1])
     if method == "auto":
         if structure is not None:
             method = "banded"
         elif generator.is_sparse:
-            method = "direct"
+            method = "sparse"
         else:
             method = "gth"
     return method, arcs, structure
@@ -187,7 +194,7 @@ def _resolve_method(
 def solve_steady_state(
     model_or_generator: Union[MarkovModel, GeneratorMatrix],
     values: Optional[Mapping[str, float]] = None,
-    method: Method = "direct",
+    method: Method = "auto",
     **kwargs,
 ) -> Dict[str, float]:
     """Convenience wrapper returning ``{state_name: probability}``.
@@ -203,36 +210,6 @@ def solve_steady_state(
 # Implementations ----------------------------------------------------------
 
 
-def _solve_direct(generator: GeneratorMatrix) -> np.ndarray:
-    """Replace the last balance equation with normalization and LU-solve."""
-    n = generator.n_states
-    if generator.is_sparse:
-        import scipy.sparse as sp
-        import scipy.sparse.linalg as spla
-
-        a = sp.lil_matrix(generator.matrix.T)
-        a[n - 1, :] = 1.0
-        b = np.zeros(n)
-        b[n - 1] = 1.0
-        try:
-            pi = spla.spsolve(a.tocsr(), b)
-        except Exception as exc:  # pragma: no cover - scipy error paths vary
-            raise SolverError(f"sparse steady-state solve failed: {exc}") from exc
-    else:
-        a = generator.dense().T
-        a[n - 1, :] = 1.0
-        b = np.zeros(n)
-        b[n - 1] = 1.0
-        try:
-            pi = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(
-                f"steady-state system is singular for model "
-                f"{generator.model_name!r}: {exc}"
-            ) from exc
-    return np.asarray(pi, dtype=float)
-
-
 def _solve_banded(
     generator: GeneratorMatrix,
     arcs: Tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -243,7 +220,7 @@ def _solve_banded(
         raise SolverError(
             f"model {generator.model_name!r} has no banded-plus-spike "
             f"structure (bandwidth over {MAX_BANDWIDTH} or too few "
-            "states); use method='direct' or 'gth'"
+            "states); use method='sparse' or 'auto'"
         )
     sources, targets, rates = arcs
     plan = BandedKernelPlan(structure, sources, targets)

@@ -247,7 +247,8 @@ class HierarchicalModel:
         ``values`` maps parameter names to scalars (shared by all
         samples) or ``(n_samples,)`` arrays.  Equivalent to calling
         :meth:`solve` once per sample, but compiled once and solved with
-        stacked linear algebra — see ``docs/performance_guide.md``.  The
+        one batched kernel call per model — see
+        ``docs/performance_guide.md``.  The
         default ``method="auto"`` routes large structured submodels
         through the banded/sparse engines (see
         :data:`repro.ctmc.batch.BATCH_METHODS`).
@@ -289,7 +290,8 @@ class CompiledHierarchy:
     Every submodel and the top model are compiled (validated, frozen,
     rates vectorized) exactly once; :meth:`solve_batch` then maps a whole
     matrix of parameter samples through submodel abstraction, binding
-    resolution and the top-model solve using stacked linear algebra.
+    resolution and the top-model solve, one batched kernel call per
+    model.
 
     :meth:`solve_point`, which :meth:`HierarchicalModel.solve` returns,
     answers one sample without NumPy where it can and equals the

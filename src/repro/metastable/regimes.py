@@ -133,8 +133,8 @@ def map_regimes(
         horizon: Transient horizon for the triggered solve, in units
             of ``1 / mu`` when ``mu = 1``.
         threshold: Orbit fill fraction counted as a storm.
-        method: Batch engine — ``"auto"``, ``"direct"``, ``"gth"``,
-            ``"banded"`` or ``"sparse"``.
+        method: Batch engine — ``"auto"``, ``"gth"``, ``"banded"`` or
+            ``"sparse"``.
         n_jobs: Workers for the per-cell transient fan-out.
 
     Returns:

@@ -32,6 +32,10 @@ if TYPE_CHECKING:
 #: Metrics a batch-capable configuration metric can report.
 CONFIG_METRICS = ("availability", "yearly_downtime_minutes", "mtbf_hours")
 
+#: Fewest samples an uncertainty run accepts, on the CLI and on
+#: ``/v1/uncertainty``: one sample has no spread to report.
+MIN_UNCERTAINTY_SAMPLES = 2
+
 #: The (n_instances, n_pairs) rows of the paper's Table 3.
 TABLE3_CONFIGURATIONS: Tuple[Tuple[int, int], ...] = (
     (1, 0),

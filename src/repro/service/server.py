@@ -588,6 +588,7 @@ class AvailabilityService:
     def _handle_uncertainty(self, document: Any) -> Dict[str, Any]:
         from repro.models.jsas.configs import (
             CONFIG_METRICS,
+            MIN_UNCERTAINTY_SAMPLES,
             build_uncertainty_analysis,
         )
 
@@ -597,8 +598,11 @@ class AvailabilityService:
         method, abstraction = self._method(document)
         values = self._merged_values(config, document)
         samples = _as_int(document, "samples", 1000)
-        if samples < 2:
-            raise BadRequest(f"'samples' must be >= 2, got {samples}")
+        if samples < MIN_UNCERTAINTY_SAMPLES:
+            raise BadRequest(
+                f"'samples' must be >= {MIN_UNCERTAINTY_SAMPLES}, "
+                f"got {samples}"
+            )
         seed = document.get("seed")
         if seed is not None and (
             isinstance(seed, bool) or not isinstance(seed, int)

@@ -150,7 +150,7 @@ def solve_petri_net(
     net: PetriNet,
     values: Mapping[str, float],
     reward: Optional[RewardFunction] = None,
-    method: str = "direct",
+    method: str = "auto",
 ) -> AvailabilityResult:
     """One-call GSPN availability solve (compile + steady state)."""
     model = petri_net_to_markov_model(net, values, reward=reward)

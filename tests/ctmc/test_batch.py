@@ -226,12 +226,15 @@ class TestZeroPatternSafety:
         assert batch.pis[1, 2] == 0.0
 
     def test_cache_holds_one_entry_per_pattern(self):
+        """The structured engines group samples by zero-pattern (the
+        dense kernel hands a zero-rate sample to the scalar library)."""
         model = self.build()
         compiled = compile_model(model)
         compiled.structure_cache.clear()
         m = np.array([0.01, 0.0])
         batch_steady_state(
-            compiled, {"La": 0.5, "Mu": 2.0, "M": m, "R": 3.0}, n_samples=2
+            compiled, {"La": 0.5, "Mu": 2.0, "M": m, "R": 3.0}, n_samples=2,
+            method="sparse",
         )
         assert len(compiled.structure_cache) == 2
 
@@ -285,6 +288,19 @@ class TestMethods:
         with pytest.raises(SolverError, match="unknown"):
             batch_steady_state(
                 two_state(), {"La": 1.0, "Mu": 1.0}, n_samples=1, method="qr"
+            )
+
+    def test_direct_is_refused(self):
+        """Stacked LU (``direct``) is gone; the error names the methods
+        that remain."""
+        with pytest.raises(
+            SolverError,
+            match=r"unknown batch steady-state method 'direct'; expected "
+            r"one of \('gth', 'auto', 'banded', 'sparse'\)",
+        ):
+            batch_availability(
+                two_state(), {"La": 1.0, "Mu": 1.0}, n_samples=1,
+                method="direct",
             )
 
     def test_sample_count_inference(self):

@@ -12,7 +12,9 @@ pi, Lambda and Mu are checked on both kernel paths (C, and the NumPy
 path a host without a compiler takes) at the paper's parameters and at
 sample 250 of the seed-0, 1,000-sample draw of the 10/10 configuration,
 the sample whose stacked-LU down mass came out 0 and crashed the
-paper's Section 7 protocol.
+paper's Section 7 protocol.  From 32 states (AS 11/2 and up) ``auto``
+runs the banded kernel, and the AS submodels of 11/2, 12/2 and 16/2
+check its pi and its renewal-closure Lambda under both repair policies.
 """
 
 from fractions import Fraction
@@ -39,6 +41,13 @@ from repro.uncertainty.sampling import monte_carlo_matrix
 PI_RTOL = 1e-14
 LAMBDA_RTOL = 1e-14
 MU_RTOL = 1e-15
+
+#: Lambda of the banded engine (renewal closure through the banded
+#: kernel), set from measurement on the banded cases below: worst
+#: 5.6e-16 on the C path and 1.3e-15 on the LAPACK path (pi 1.3e-15,
+#: Mu exact).  The up-block solve it replaced missed by 2.5e-3 at
+#: sequential 11/2 and by a factor of 19.8 at parallel 16/2.
+BANDED_LAMBDA_RTOL = 4e-15
 
 
 @pytest.fixture(params=["c", "numpy"])
@@ -156,6 +165,51 @@ def test_kernel_matches_exact_oracle(kernel_path, name, model, values):
     assert scalar.failure_rate == batch.failure_rate[0]
     assert scalar.recovery_rate == batch.recovery_rate[0]
     assert scalar.availability == batch.availability[0]
+
+
+def _banded_shapes():
+    values = PAPER_PARAMETERS.to_dict()
+    for policy in ("sequential", "parallel"):
+        for n in (11, 12, 16):
+            config = JsasConfiguration(n, 2, repair_policy=policy)
+            yield (
+                f"{policy}-as{n}", config.build_appserver_submodel(),
+                config.merged_values(values),
+            )
+
+
+BANDED_CASES = list(_banded_shapes())
+
+
+@pytest.mark.parametrize(
+    "name,model,values", BANDED_CASES, ids=[case[0] for case in BANDED_CASES]
+)
+def test_banded_engine_matches_exact_oracle(kernel_path, name, model, values):
+    """``auto`` on 32 states or more: the banded kernel's pi and its
+    renewal-closure Lambda, batch and scalar; the two agree bit for bit
+    on the C path."""
+    exact_pi, exact_lam, exact_mu = exact_interface(
+        build_generator(model, values)
+    )
+    batch = batch_availability(
+        compile_model(model), values, n_samples=1, method="auto"
+    )
+    scalar = steady_state_availability(model, values, method="auto")
+    scalar_pi = [scalar.state_probabilities[s] for s in batch.state_names]
+    for pi, lam, mu in (
+        (batch.pis[0], batch.failure_rate[0], batch.recovery_rate[0]),
+        (scalar_pi, scalar.failure_rate, scalar.recovery_rate),
+    ):
+        np.testing.assert_allclose(
+            pi, _as_floats(exact_pi), rtol=PI_RTOL, atol=0.0
+        )
+        assert lam == pytest.approx(
+            float(exact_lam), rel=BANDED_LAMBDA_RTOL, abs=0.0
+        )
+        assert mu == pytest.approx(float(exact_mu), rel=MU_RTOL, abs=0.0)
+    if kernel_path == "c":
+        assert scalar.failure_rate == batch.failure_rate[0]
+        assert scalar.availability == batch.availability[0]
 
 
 def test_sample_250_down_mass_is_positive():

@@ -68,10 +68,10 @@ def irreducible_chains(draw):
 @settings(max_examples=40, deadline=None)
 @given(chain=irreducible_chains())
 def test_sparse_steady_state_matches_dense(chain):
-    """The symbolic-pattern sparse solver agrees with dense direct."""
+    """The symbolic-pattern sparse solver agrees with dense GTH."""
     model, values = chain
     generator = build_generator(model, values)
-    dense_pi = steady_state_vector(generator, method="direct")
+    dense_pi = steady_state_vector(generator, method="gth")
     compiled = compile_model(model)
     solver = SparseSteadyStateSolver(
         compiled.n_states,
@@ -275,9 +275,9 @@ class TestDispatchAndDiagnostics:
             batch = _resolve_engine(compiled, "auto")
             # Batch "auto" below the cutover is the dense GTH kernel.
             assert batch == engine
-            # Dense methods keep their bit-parity contract at any size
-            # below SPARSE_THRESHOLD.
-            assert _resolve_engine(compiled, "direct") == "direct"
+            # "gth" keeps the dense kernel at any size below
+            # SPARSE_THRESHOLD.
+            assert _resolve_engine(compiled, "gth") == "gth"
 
     def test_sparse_factorization_failure_names_sample(self, monkeypatch):
         """A failed splu surfaces as a SolverError naming the model and

@@ -1,4 +1,4 @@
-"""Unit tests for the steady-state solvers (direct, GTH)."""
+"""Unit tests for the steady-state solvers (GTH, sparse LU, auto)."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from repro.ctmc.generator import build_generator
 from repro.ctmc.steady_state import solve_steady_state, steady_state_vector
 from repro.exceptions import SolverError, StructureError
 
-METHODS = ["direct", "gth"]
+METHODS = ["gth", "auto", "sparse"]
 
 
 def birth_death_closed_form(births, deaths):
@@ -65,8 +65,9 @@ class TestCrossMethodAgreement:
         }
         for state in model.state_names:
             assert results["gth"][state] == pytest.approx(
-                results["direct"][state], rel=1e-6
+                results["sparse"][state], rel=1e-6
             )
+        assert results["auto"] == results["gth"]
 
 
 class TestStructureGuards:
@@ -111,6 +112,17 @@ class TestStructureGuards:
     def test_unknown_method(self, two_state_model, two_state_values):
         with pytest.raises(SolverError, match="unknown steady-state method"):
             solve_steady_state(two_state_model, two_state_values, "magic")
+
+    def test_direct_is_refused(self, two_state_model, two_state_values):
+        """Dense LU (``direct``) is gone; the error names the methods
+        that remain."""
+        generator = build_generator(two_state_model, two_state_values)
+        with pytest.raises(
+            SolverError,
+            match=r"unknown steady-state method 'direct'; expected one of "
+            r"\('gth', 'auto', 'banded', 'sparse'\)",
+        ):
+            steady_state_vector(generator, method="direct")
 
     @pytest.mark.parametrize(
         "entry_point",

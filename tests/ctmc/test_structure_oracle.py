@@ -126,10 +126,8 @@ def check_against_reference(n, arcs, up, sparse):
     info = pattern_structure(compiled, pattern)
     assert info.n_recurrent_classes == len(recurrent)
     if len(recurrent) == 1:
-        assert info.recurrent_idx.tolist() == recurrent[0]
         assert info.covers_all == (len(recurrent[0]) == n)
     else:
-        assert info.recurrent_idx is None
         assert info.covers_all is False
     if offender is None:
         assert info.mtta_error is None

@@ -19,6 +19,7 @@ import pytest
 import repro.kernels.cext
 from repro import obs
 from repro.core.model import MarkovModel
+from repro.exceptions import SolverError
 from repro.hierarchy import HierarchicalModel
 from repro.hierarchy.composer import POINT_SOLVES_COUNTER
 from repro.models.jsas import CONFIG_1, PAPER_PARAMETERS, JsasConfiguration
@@ -119,9 +120,24 @@ class TestCounter:
         assert point_counts(recorder) == {"kernel": 1, "batch": 0}
 
     def test_direct_takes_the_batch_path(self):
+        """Stacked LU (``direct``) is gone: the batch path refuses it,
+        naming the methods that remain, from both entry points."""
+        hierarchy = CONFIG_1.hierarchy()
+        values = CONFIG_1.merged_values(PAPER_PARAMETERS.to_dict())
         with obs.observe() as recorder:
-            CONFIG_1.solve(PAPER_PARAMETERS, method="direct")
-        assert point_counts(recorder) == {"kernel": 0, "batch": 1}
+            for solve in (
+                lambda: CONFIG_1.solve(PAPER_PARAMETERS, method="direct"),
+                lambda: HierarchicalModel.solve(
+                    hierarchy, values, method="direct"
+                ),
+            ):
+                with pytest.raises(
+                    SolverError,
+                    match=r"'direct'; expected one of "
+                    r"\('gth', 'auto', 'banded', 'sparse'\)",
+                ):
+                    solve()
+        assert point_counts(recorder) == {"kernel": 0, "batch": 2}
 
     def test_no_c_kernel_takes_the_batch_path(self, monkeypatch):
         monkeypatch.setattr(repro.kernels.cext, "load", lambda: None)

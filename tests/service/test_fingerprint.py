@@ -78,7 +78,7 @@ class TestSolveFingerprint:
     def test_sensitive_to_method_abstraction_kind(self, structure):
         values = PAPER_PARAMETERS.to_dict()
         base = solve_fingerprint(structure, values)
-        assert base != solve_fingerprint(structure, values, method="direct")
+        assert base != solve_fingerprint(structure, values, method="gth")
         assert base != solve_fingerprint(
             structure, values, abstraction="flow"
         )
@@ -131,7 +131,7 @@ class TestHierarchyFingerprinter:
         # Second call answers from the memo and agrees.
         assert fingerprinter.request(structure, values) == memoized
         assert fingerprinter.request(
-            structure, values, method="direct"
+            structure, values, method="gth"
         ) != memoized
 
     def test_request_memo_is_bounded(self):

@@ -84,7 +84,12 @@ class TestParity:
         assert payload_b["error"] == payload_a["error"]
 
     @pytest.mark.parametrize(
-        "field,value", [("method", "cholesky"), ("abstraction", "bogus")]
+        "field,value",
+        [
+            ("method", "cholesky"),
+            ("method", "direct"),
+            ("abstraction", "bogus"),
+        ],
     )
     def test_unknown_method_or_abstraction_is_a_bad_request(
         self, inprocess_service, prefork_service, field, value

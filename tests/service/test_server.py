@@ -289,13 +289,16 @@ class TestImportGraph:
         """``import repro.service`` loads numpy and the solve path only:
         no scipy and none of the analysis stack.  Solving every Table 3
         shape, a sweep and a seeded uncertainty run load no scipy
-        either."""
+        either.  Where the C kernel loads, neither do the banded AS
+        submodels of 11/2 and parallel 16/2, whose MTTF comes from the
+        banded kernel (the LAPACK route loads ``dgbsv``)."""
         script = textwrap.dedent(
             """
             import json
             import sys
 
             import repro.service
+            from repro.kernels import cext
             from repro.models.jsas import TABLE3_CONFIGURATIONS
             from repro.service import AvailabilityService, ServiceConfig
 
@@ -324,6 +327,14 @@ class TestImportGraph:
                     ("/v1/sweep", {"points": 3}),
                     ("/v1/uncertainty", {"samples": 16, "seed": 1}),
                 ]
+                if cext.load() is not None:
+                    requests += [
+                        ("/v1/solve", {"n_instances": 11, "n_pairs": 2}),
+                        ("/v1/solve", {
+                            "n_instances": 16, "n_pairs": 2,
+                            "repair_policy": "parallel",
+                        }),
+                    ]
                 for endpoint, document in requests:
                     status, payload, _ = service.handle(endpoint, document)
                     assert status == 200, (endpoint, payload)

@@ -70,6 +70,7 @@ class TestParserErrors:
             "solve --instances 0",
             "sweep --points 0",
             "uncertainty --samples 0",
+            "uncertainty --samples 1",
             "risk --years 0",
             "plan --nines 0",
             "campaign --injections 0",

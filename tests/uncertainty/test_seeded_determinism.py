@@ -3,7 +3,7 @@
 The service caches seeded ``/v1/uncertainty`` responses by fingerprint
 and the chaos campaign replays seeded runs, so seeded
 :meth:`UncertaintyAnalysis.run` must be **bit-identical** across repeats
-of the same engine.  Across *different* engines (direct vs sparse, or
+of the same engine.  Across *different* engines (GTH vs sparse LU, or
 scalar vs batch) the results agree to solver tolerance but are NOT
 required to match bit-for-bit — pinning that distinction down keeps a
 future refactor from accidentally weakening (or over-promising) either
@@ -31,7 +31,7 @@ def _run(method: str, batch: bool, seed: int = SEED):
 
 
 class TestSameEngineBitIdentity:
-    @pytest.mark.parametrize("method", ["direct", "sparse"])
+    @pytest.mark.parametrize("method", ["gth", "sparse"])
     def test_batch_engine_repeats_bit_identical(self, method):
         first = _run(method, batch=True)
         second = _run(method, batch=True)
@@ -40,27 +40,27 @@ class TestSameEngineBitIdentity:
         assert first.std == second.std
 
     def test_scalar_engine_repeats_bit_identical(self):
-        first = _run("direct", batch=False)
-        second = _run("direct", batch=False)
+        first = _run("gth", batch=False)
+        second = _run("gth", batch=False)
         assert first.values == second.values
 
     def test_different_seeds_differ(self):
-        first = _run("direct", batch=True, seed=SEED)
-        second = _run("direct", batch=True, seed=SEED + 1)
+        first = _run("gth", batch=True, seed=SEED)
+        second = _run("gth", batch=True, seed=SEED + 1)
         assert first.values != second.values
 
 
 class TestCrossEngineCloseness:
-    def test_direct_vs_sparse_close_to_solver_tolerance(self):
-        direct = _run("direct", batch=True)
+    def test_gth_vs_sparse_close_to_solver_tolerance(self):
+        gth = _run("gth", batch=True)
         sparse = _run("sparse", batch=True)
         np.testing.assert_allclose(
-            direct.values, sparse.values, rtol=1e-9, atol=0.0
+            gth.values, sparse.values, rtol=1e-9, atol=0.0
         )
 
     def test_scalar_vs_batch_close_to_solver_tolerance(self):
-        scalar = _run("direct", batch=False)
-        batched = _run("direct", batch=True)
+        scalar = _run("gth", batch=False)
+        batched = _run("gth", batch=True)
         np.testing.assert_allclose(
             scalar.values, batched.values, rtol=1e-9, atol=0.0
         )
@@ -72,7 +72,7 @@ class TestCrossEngineCloseness:
         uniform draws over ranges spanning orders of magnitude is only
         possible if both engines consumed the identical sample stream.
         """
-        direct = _run("direct", batch=True)
+        gth = _run("gth", batch=True)
         sparse = _run("sparse", batch=True)
-        assert direct.mean == pytest.approx(sparse.mean, rel=1e-9)
-        assert direct.std == pytest.approx(sparse.std, rel=1e-9)
+        assert gth.mean == pytest.approx(sparse.mean, rel=1e-9)
+        assert gth.std == pytest.approx(sparse.std, rel=1e-9)
