@@ -311,9 +311,7 @@ def _cmd_uncertainty(args: argparse.Namespace) -> int:
             metric="yearly_downtime_minutes"
         )
         result = analysis.run(
-            n_samples=args.samples,
-            seed=args.seed,
-            n_jobs=args.jobs,
+            n_samples=args.samples, seed=args.seed, keep_snapshots=False
         )
         reporter.line(
             f"{model.name}: fitted-rate intervals propagated "
@@ -334,9 +332,7 @@ def _cmd_uncertainty(args: argparse.Namespace) -> int:
     config = _configuration(args)
     analysis = build_uncertainty_analysis(config)
     result = analysis.run(
-        n_samples=args.samples,
-        seed=args.seed,
-        n_jobs=args.jobs,
+        n_samples=args.samples, seed=args.seed, keep_snapshots=False
     )
     reporter.line(result.summary())
     reporter.line(
@@ -451,7 +447,6 @@ def _metastable_map_artifact(args: argparse.Namespace):
         theta=args.theta,
         horizon=args.horizon,
         threshold=args.threshold,
-        n_jobs=args.jobs,
     )
 
 
@@ -997,10 +992,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("uncertainty", help="Figs. 7/8 uncertainty analysis")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the batch evaluation; "
-                        "results are bit-identical for any value "
-                        "(default 1)")
     _add_config_arguments(p)
     _add_json_argument(p)
     p.add_argument("--samples", type=int, default=1000)
@@ -1206,9 +1197,6 @@ def build_parser() -> argparse.ArgumentParser:
         mp.add_argument("--threshold", type=float, default=0.3,
                         help="orbit-congestion fraction separating "
                              "storm from calm (default 0.3)")
-        mp.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the per-cell "
-                             "transient solves (default 1)")
 
     def _add_campaign_arguments(cp: argparse.ArgumentParser) -> None:
         cp.add_argument("--cells", type=_cells_arg, default=None,

@@ -82,4 +82,5 @@ class ArtifactError(ReproError):
 
 
 class ParallelError(ReproError):
-    """The shared-memory worker pool failed (worker crash, bad chunking)."""
+    """The fork fan-out failed (bad ``n_jobs``, a worker died, or a
+    worker raised an exception that cannot be pickled)."""

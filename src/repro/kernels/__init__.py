@@ -19,8 +19,9 @@ The rate program is bit-identical to the interpreted path by
 construction (same expressions evaluated on the same NumPy namespace,
 deduplicated), and both banded paths agree with the reference GTH
 elimination to ~1e-10 relative, enforced by ``tests/kernels/``.  A given
-host always runs the same path, so results are bit-identical across
-worker counts and chunkings.
+host always runs the same path, and every sample is solved
+independently of its batch neighbours, so a sample's result does not
+depend on which batch carries it.
 """
 
 from __future__ import annotations

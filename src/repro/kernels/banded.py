@@ -20,9 +20,10 @@ This module runs the same solve, for the batch engine and for scalar
   partial pivoting cannot cross block boundaries (every cross-block
   candidate entry is structurally zero, and a zero multiplier row update
   is an exact IEEE no-op), so **per-sample results are bit-independent
-  of how the batch is chunked** — the property the deterministic worker
-  pool (:mod:`repro.parallel`) relies on.  Used when the host has no C
-  compiler, or once a C build or load has failed in this process.
+  of how the batch is chunked** — the property that lets the service's
+  MicroBatcher coalesce requests into one batch without moving any
+  answer.  Used when the host has no C compiler, or once a C build or
+  load has failed in this process.
 
 All assembly goes through precomputed gather/segment-sum maps
 (:class:`_ScatterMap`) instead of ``np.add.at`` or sparse matmuls — the

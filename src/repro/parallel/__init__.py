@@ -1,39 +1,15 @@
-"""Shared-memory multiprocess execution for batch workloads.
+"""Fork-based fan-out of independent work items.
 
-One deliberately small surface:
+One deliberately small surface: :func:`parallel_map` — ordered ``fn``
+over items on forked workers, the engine under
+``run_replications(n_jobs=...)``.  Fork inheritance means closures and
+lambdas work — nothing needs to be picklable except the *results*.
 
-* :func:`map_chunked` — evaluate a ``(start, stop) -> values`` range
-  function over ``n_samples`` in fixed-size chunks, fanned out over
-  forked worker processes that write straight into a shared-memory
-  result array.  Chunk boundaries depend only on ``n_samples`` and
-  ``chunk_size`` — **never** on the worker count — and every solver
-  stage underneath is per-sample independent (enforced by
-  ``tests/kernels`` and ``tests/parallel``), so a seeded run returns
-  bit-identical results for any ``n_jobs``.
-* :func:`parallel_map` — ordered ``fn`` over items on forked workers;
-  the engine under ``run_replications(n_jobs=...)``.  Fork inheritance
-  means closures and lambdas work — nothing needs to be picklable
-  except the *results*.
-
-On platforms without the ``fork`` start method (Windows), both fall
-back to sequential execution with the same chunking, keeping results
-identical — parallelism is a speedup here, never a semantic.
+On platforms without the ``fork`` start method (Windows) it falls back
+to sequential execution with identical results — parallelism is a
+speedup here, never a semantic.
 """
 
-from repro.parallel.pool import (
-    DEFAULT_CHUNK,
-    chunk_bounds,
-    cpu_count,
-    map_chunked,
-    parallel_map,
-    resolve_jobs,
-)
+from repro.parallel.pool import cpu_count, parallel_map, resolve_jobs
 
-__all__ = [
-    "DEFAULT_CHUNK",
-    "chunk_bounds",
-    "cpu_count",
-    "map_chunked",
-    "parallel_map",
-    "resolve_jobs",
-]
+__all__ = ["cpu_count", "parallel_map", "resolve_jobs"]

@@ -83,7 +83,7 @@ _ALLOWED_KEYS = {
                         "metric")
     ),
     "/v1/uncertainty": frozenset(
-        _COMMON_KEYS + ("samples", "seed", "metric", "sampler")
+        _COMMON_KEYS + ("samples", "seed", "metric")
     ),
 }
 #: The ``POST`` API a shard serves and the cluster router forwards.
@@ -627,7 +627,9 @@ class AvailabilityService:
                     abstraction=abstraction,
                     method=method,
                 )
-                result = analysis.run(n_samples=samples, seed=seed)
+                result = analysis.run(
+                    n_samples=samples, seed=seed, keep_snapshots=False
+                )
                 return {
                     "schema": RESPONSE_SCHEMA,
                     "kind": "uncertainty",

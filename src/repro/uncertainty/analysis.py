@@ -12,11 +12,11 @@ snapshots, metric = yearly downtime in minutes.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, Optional, Sequence
+from typing import Callable, Dict, Mapping, Optional
 
 import numpy as np
 
-from repro import obs, parallel
+from repro import obs
 from repro.exceptions import EstimationError
 from repro.uncertainty.distributions import Distribution
 from repro.uncertainty.results import UncertaintyResult
@@ -80,7 +80,6 @@ class UncertaintyAnalysis:
         n_samples: int = 1000,
         seed: Optional[int] = None,
         keep_snapshots: bool = True,
-        n_jobs: Optional[int] = 1,
     ) -> UncertaintyResult:
         """Sample, solve, and summarize.
 
@@ -93,22 +92,14 @@ class UncertaintyAnalysis:
             keep_snapshots: Store the sampled parameter dicts in the
                 result (needed for scatter plots and importance
                 post-processing; disable to save memory on huge runs).
-            n_jobs: Worker processes for the solve stage (``None`` = one
-                per CPU).  Sampling always happens up front in the
-                parent, and the solve fan-out runs through
-                :func:`repro.parallel.map_chunked` with fixed chunk
-                boundaries, so a seeded run is bit-identical for every
-                ``n_jobs`` value.
         """
         use_batch = callable(getattr(self.metric, "evaluate_batch", None))
-        jobs = parallel.resolve_jobs(n_jobs)
         with obs.span(
             "uncertainty.run",
             metric=self.metric_name,
             n_samples=n_samples,
             sampler=self.sampler,
             path="batch" if use_batch else "scalar",
-            n_jobs=jobs,
         ):
             rng = np.random.default_rng(seed)
             with obs.span("uncertainty.sample", sampler=self.sampler):
@@ -124,16 +115,7 @@ class UncertaintyAnalysis:
                 merged_columns: Dict[str, object] = dict(self.base_values)
                 merged_columns.update(columns)
                 with obs.span("uncertainty.solve", path="batch"):
-                    if jobs == 1:
-                        raw = self.metric.evaluate_batch(
-                            merged_columns, n_samples
-                        )
-                    else:
-                        raw = parallel.map_chunked(
-                            self._batch_range_evaluator(merged_columns),
-                            n_samples,
-                            n_jobs=jobs,
-                        )
+                    raw = self.metric.evaluate_batch(merged_columns, n_samples)
                 with obs.span("uncertainty.summarize"):
                     values = tuple(
                         float(v) for v in np.asarray(raw, dtype=float)
@@ -153,71 +135,21 @@ class UncertaintyAnalysis:
                     )
             snapshot_dicts = snapshots_from_columns(columns, n_samples)
             with obs.span("uncertainty.solve", path="scalar"):
-                if jobs == 1:
-                    # One merged dict, updated in place: every snapshot
-                    # carries the same key set, so overlaying each one on
-                    # the previous state is equivalent to re-copying
-                    # base_values per snapshot.
-                    merged = dict(self.base_values)
-                    scalar_values = []
-                    for snapshot in snapshot_dicts:
-                        merged.update(snapshot)
-                        scalar_values.append(float(self.metric(merged)))
-                else:
-                    scalar_values = [
-                        float(v)
-                        for v in parallel.map_chunked(
-                            self._scalar_range_evaluator(snapshot_dicts),
-                            n_samples,
-                            n_jobs=jobs,
-                        )
-                    ]
+                # One merged dict, updated in place: every snapshot
+                # carries the same key set, so overlaying each one on
+                # the previous state is equivalent to re-copying
+                # base_values per snapshot.
+                merged = dict(self.base_values)
+                scalar_values = []
+                for snapshot in snapshot_dicts:
+                    merged.update(snapshot)
+                    scalar_values.append(float(self.metric(merged)))
             with obs.span("uncertainty.summarize"):
                 return UncertaintyResult(
                     metric_name=self.metric_name,
                     values=tuple(scalar_values),
                     snapshots=tuple(snapshot_dicts) if keep_snapshots else (),
                 )
-
-    # Parallel range evaluators -------------------------------------------
-
-    def _batch_range_evaluator(
-        self, merged_columns: Mapping[str, object]
-    ) -> Callable[[int, int], np.ndarray]:
-        """A per-chunk slice of the batched solve.
-
-        Every batched solver stage is per-sample independent (verified
-        by the chunk-determinism tests in ``tests/kernels`` and
-        ``tests/ctmc``), so evaluating ``[start:stop)`` alone is
-        bit-identical to that slice of the full-batch result.
-        """
-
-        def evaluate_range(start: int, stop: int) -> np.ndarray:
-            sliced = {
-                name: column[start:stop]
-                if isinstance(column, np.ndarray)
-                else column
-                for name, column in merged_columns.items()
-            }
-            return np.asarray(
-                self.metric.evaluate_batch(sliced, stop - start),
-                dtype=float,
-            )
-
-        return evaluate_range
-
-    def _scalar_range_evaluator(
-        self, snapshot_dicts: Sequence[Dict[str, float]]
-    ) -> Callable[[int, int], np.ndarray]:
-        def evaluate_range(start: int, stop: int) -> np.ndarray:
-            merged = dict(self.base_values)
-            out = np.empty(stop - start, dtype=float)
-            for i in range(start, stop):
-                merged.update(snapshot_dicts[i])
-                out[i - start] = float(self.metric(merged))
-            return out
-
-        return evaluate_range
 
     def run_at_means(self) -> float:
         """Evaluate the metric with every varied parameter at its mean.

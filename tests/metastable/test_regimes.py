@@ -156,9 +156,3 @@ class TestDeterminism:
         assert json.dumps(
             again["deterministic"], sort_keys=True
         ) == json.dumps(small_map["deterministic"], sort_keys=True)
-
-    def test_parallel_fanout_is_bit_identical(self, small_map):
-        parallel = map_regimes(**SMALL_GRID, n_jobs=2)
-        assert json.dumps(
-            parallel["deterministic"], sort_keys=True
-        ) == json.dumps(small_map["deterministic"], sort_keys=True)

@@ -1,44 +1,28 @@
-"""Unit tests for the shared-memory worker pool."""
+"""Unit tests for the fork-based ordered item map."""
 
 import os
+import threading
 
-import numpy as np
 import pytest
 
 from repro.exceptions import ParallelError
-from repro.parallel import (
-    DEFAULT_CHUNK,
-    chunk_bounds,
-    cpu_count,
-    map_chunked,
-    parallel_map,
-    resolve_jobs,
-)
+from repro.parallel import cpu_count, parallel_map, resolve_jobs
 
 
-def square_range(start, stop):
-    return np.arange(start, stop, dtype=float) ** 2
+class LockedError(Exception):
+    """An exception that cannot be pickled: it holds a lock."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
 
 
-class TestChunkBounds:
-    def test_covers_every_sample_once(self):
-        bounds = chunk_bounds(1000, 256)
-        assert bounds[0][0] == 0
-        assert bounds[-1][1] == 1000
-        for (_, prev_stop), (start, _) in zip(bounds, bounds[1:]):
-            assert start == prev_stop
+class TwoPartError(Exception):
+    """An exception that pickles but cannot be unpickled: its
+    constructor needs two arguments and ``args`` holds one."""
 
-    def test_depends_only_on_sample_count(self):
-        # The chunk grid is the determinism contract: it must never be
-        # derived from the worker count.
-        assert chunk_bounds(1000, 256) == chunk_bounds(1000, 256)
-        assert len(chunk_bounds(DEFAULT_CHUNK * 3, DEFAULT_CHUNK)) == 3
-
-    def test_small_batch_single_chunk(self):
-        assert chunk_bounds(5, 256) == [(0, 5)]
-
-    def test_empty(self):
-        assert chunk_bounds(0, 256) == []
+    def __init__(self, head, tail):
+        super().__init__(f"{head} {tail}")
 
 
 class TestResolveJobs:
@@ -51,46 +35,6 @@ class TestResolveJobs:
     def test_invalid(self):
         with pytest.raises(ParallelError):
             resolve_jobs(0)
-
-
-class TestMapChunked:
-    def test_matches_sequential_bitwise(self):
-        expected = square_range(0, 1000)
-        for n_jobs in (1, 2, 4):
-            out = map_chunked(square_range, 1000, n_jobs=n_jobs)
-            assert np.array_equal(out, expected), f"n_jobs={n_jobs}"
-
-    def test_worker_exception_propagates_as_original_type(self):
-        def boom(start, stop):
-            raise ValueError(f"range ({start}, {stop}) exploded")
-
-        with pytest.raises(ValueError, match="exploded"):
-            map_chunked(boom, 600, n_jobs=2)
-
-    def test_bad_shape_raises_parallel_error(self):
-        def wrong_shape(start, stop):
-            return np.zeros(3)
-
-        with pytest.raises(ParallelError):
-            map_chunked(wrong_shape, 600, n_jobs=2)
-
-    def test_worker_hard_death_raises_parallel_error(self):
-        def die(start, stop):
-            if start >= 256:
-                os._exit(17)
-            return np.zeros(stop - start)
-
-        with pytest.raises(ParallelError, match="died"):
-            map_chunked(die, 600, n_jobs=2)
-
-    def test_closures_work(self):
-        offset = 41.5
-        out = map_chunked(
-            lambda start, stop: np.arange(start, stop) + offset,
-            300,
-            n_jobs=2,
-        )
-        assert np.array_equal(out, np.arange(300) + offset)
 
 
 class TestParallelMap:
@@ -107,6 +51,23 @@ class TestParallelMap:
             return x
 
         with pytest.raises(KeyError, match="five"):
+            parallel_map(pick, list(range(10)), n_jobs=2)
+
+    @pytest.mark.parametrize(
+        "exc",
+        [LockedError("five is locked"), TwoPartError("five is", "locked")],
+        ids=["dumps-fails", "loads-fails"],
+    )
+    def test_unpicklable_exception_keeps_type_and_message(self, exc):
+        def pick(x):
+            if x == 5:
+                raise exc
+            return x
+
+        with pytest.raises(
+            ParallelError,
+            match=f"unpicklable {type(exc).__name__}: five is locked",
+        ):
             parallel_map(pick, list(range(10)), n_jobs=2)
 
     def test_worker_hard_death_raises_parallel_error(self):

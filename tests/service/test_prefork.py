@@ -101,6 +101,18 @@ class TestParity:
                 assert status == 400, (endpoint, payload)
                 assert f"unknown {field} {value!r}" in payload["error"]
 
+    @pytest.mark.parametrize("sampler", ["latin_hypercube", "bogus"])
+    def test_sampler_is_an_unknown_field(
+        self, inprocess_service, prefork_service, sampler
+    ):
+        """``/v1/uncertainty`` draws Monte Carlo samples only: a
+        ``sampler`` field is refused, never answered as Monte Carlo."""
+        body = {"samples": 64, "seed": 5, "sampler": sampler}
+        for service in (inprocess_service, prefork_service):
+            status, payload, _ = service.handle("/v1/uncertainty", dict(body))
+            assert status == 400, payload
+            assert "unknown field(s) ['sampler']" in payload["error"]
+
 
 class TestHealth:
     def test_healthz_reports_pool(self, prefork_service):

@@ -289,9 +289,10 @@ class TestImportGraph:
         """``import repro.service`` loads numpy and the solve path only:
         no scipy and none of the analysis stack.  Solving every Table 3
         shape, a sweep and a seeded uncertainty run load no scipy
-        either.  Where the C kernel loads, neither do the banded AS
-        submodels of 11/2 and parallel 16/2, whose MTTF comes from the
-        banded kernel (the LAPACK route loads ``dgbsv``)."""
+        either, and no ``repro.parallel``: a sampled run solves in one
+        batch and never forks.  Where the C kernel loads, neither do the
+        banded AS submodels of 11/2 and parallel 16/2, whose MTTF comes
+        from the banded kernel (the LAPACK route loads ``dgbsv``)."""
         script = textwrap.dedent(
             """
             import json
@@ -340,7 +341,7 @@ class TestImportGraph:
                     assert status == 200, (endpoint, payload)
             finally:
                 service.close()
-            print(json.dumps([at_import, loaded(())]))
+            print(json.dumps([at_import, loaded(("parallel",))]))
             """
         )
         import repro

@@ -57,6 +57,21 @@ class TestParserErrors:
         assert "repro-avail: error:" in captured.err
         assert "frobnicate" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv", ["uncertainty --jobs 2", "metastable map --jobs 2"]
+    )
+    def test_removed_jobs_flag_is_a_usage_error(self, capsys, argv):
+        """Both sample-axis commands run serially and take no ``--jobs``."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv.split())
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1, captured.err
+        assert "unrecognized arguments: --jobs 2" in errors[0]
+
     def test_bad_flag_reports_via_reporter(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["serve", "--port", "not-a-number"])

@@ -30,6 +30,13 @@ def test_fast_path_byte_identical_to_fallback(sampler):
     assert fast.metric_name == slow.metric_name
 
 
+def test_values_are_finite():
+    analysis = build_uncertainty_analysis(CONFIG_1)
+    values = np.asarray(analysis.run(n_samples=500, seed=1234).values)
+    assert np.isfinite(values).all()
+    assert (values >= 0.0).all()
+
+
 def test_batch_true_requires_capable_metric():
     """A plain callable (no ``evaluate_batch``) runs once per snapshot."""
     analysis = UncertaintyAnalysis(
